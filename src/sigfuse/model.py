@@ -237,6 +237,13 @@ def net_backward(features: dict, mask, net: HybridNet,
     The batch loss is the mean over examples of the summed-over-attributes
     BCE. Frozen groups and branches outside the mask get exact-zero
     gradients. Returns (grads by group id, loss).
+
+    Only what some gradient consumes is computed: a frozen trunk layer
+    skips its weight matmul and bias sum but still passes the gradient
+    down, the signature gradient is skipped when no active branch learns,
+    and a branch's first layer skips its input gradient. Groups with real
+    gradients get no zero-filled arrays; the zero gradients of the other
+    groups come from `np.zeros`, whose pages stay unwritten.
     """
     active = normalize_mask(mask, net)
     labels = np.asarray(labels, dtype=np.float64)
@@ -262,32 +269,33 @@ def net_backward(features: dict, mask, net: HybridNet,
     from .nn import bce_loss_batch
     loss = bce_loss_batch(p, y)
 
-    grads = {g: [LayerGrad.zeros_like(l) for l in net.group_layers(g)]
-             for g in net.group_ids()}
+    grads = {}
+    train_trunk = net.trainable.get("trunk", True)
+    learners = [k for k in active if net.trainable.get(k, True)]
 
     # sigmoid + BCE collapse to (p - y), scaled by the batch mean
     d_logits = (p - y) / n
-    g_out, d_h4 = dense_backward(h4, net.trunk.out, d_logits)
+    g_out, d_h4 = dense_backward(h4, net.trunk.out, d_logits, params=train_trunk)
     d_a4 = d_h4 * (h4 > 0)  # ReLU subgradient at 0 is 0
-    g_l4, d_h3 = dense_backward(h3, net.trunk.layer4, d_a4)
+    g_l4, d_h3 = dense_backward(h3, net.trunk.layer4, d_a4, params=train_trunk)
     d_a3 = d_h3 * (h3 > 0)
-    g_l3, d_sig = dense_backward(sig, net.trunk.layer3, d_a3)
-    if net.trainable.get("trunk", True):
+    g_l3, d_sig = dense_backward(sig, net.trunk.layer3, d_a3, params=train_trunk,
+                                 inputs=bool(learners))
+    if train_trunk:
         grads["trunk"] = [g_l3, g_l4, g_out]
 
     # the merge distributes d_sig unchanged to every active branch
-    for name in active:
-        if not net.trainable.get(name, True):
-            continue
+    for name in learners:
         b = net.branch_for(name)
         x, h1, h2 = branch_acts[name]
         d_a2 = d_sig * (h2 > 0)
         g_l2, d_h1 = dense_backward(h1, b.layer2, d_a2)
         d_a1 = d_h1 * (h1 > 0)
-        g_l1, _ = dense_backward(x, b.layer1, d_a1)
+        g_l1, _ = dense_backward(x, b.layer1, d_a1, inputs=False)
         grads[name] = [g_l1, g_l2]
 
-    return grads, loss
+    return {g: grads.get(g) or [LayerGrad.zeros_like(l) for l in net.group_layers(g)]
+            for g in net.group_ids()}, loss
 
 
 def set_trainable(net: HybridNet, group: str, flag: bool) -> HybridNet:
@@ -314,29 +322,42 @@ def _write_str(buf, s: str):
     buf.write(raw)
 
 
-def _read_exact(buf, n: int) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise ModelFormatError("truncated model file")
-    return data
+class _Cursor:
+    """Reads a bytes-like object front to back, handing out views, not copies."""
+
+    def __init__(self, data):
+        self.view = memoryview(data)
+        self.pos = 0
+
+    def take(self, n: int) -> memoryview:
+        end = self.pos + n
+        if end > len(self.view):
+            raise ModelFormatError("truncated model file")
+        chunk = self.view[self.pos:end]
+        self.pos = end
+        return chunk
+
+    def at_end(self) -> bool:
+        return self.pos == len(self.view)
 
 
-def _read_str(buf) -> str:
-    (n,) = struct.unpack("<H", _read_exact(buf, 2))
-    return _read_exact(buf, n).decode("utf-8")
+def _read_str(cur: _Cursor) -> str:
+    (n,) = struct.unpack("<H", cur.take(2))
+    return str(cur.take(n), "utf-8")
 
 
 def _write_matrix(buf, m: np.ndarray):
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     buf.write(struct.pack("<II", m.shape[0], m.shape[1]))
-    buf.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+    # the float32 array's own buffer goes to `buf`; no bytes copy is made
+    buf.write(np.ascontiguousarray(m, dtype="<f4"))
 
 
-def _read_matrix(buf) -> np.ndarray:
-    rows, cols = struct.unpack("<II", _read_exact(buf, 8))
+def _read_matrix(cur: _Cursor) -> np.ndarray:
+    rows, cols = struct.unpack("<II", cur.take(8))
     if rows * cols > 1 << 28:
         raise ModelFormatError(f"matrix {rows}x{cols} exceeds size limit")
-    data = np.frombuffer(_read_exact(buf, 4 * rows * cols), dtype="<f4")
+    data = np.frombuffer(cur.take(4 * rows * cols), dtype="<f4")
     return data.astype(np.float64).reshape(rows, cols)
 
 
@@ -345,16 +366,16 @@ def _write_layer(buf, layer: DenseLayer):
     _write_matrix(buf, layer.bias)
 
 
-def _read_layer(buf) -> DenseLayer:
-    w = _read_matrix(buf)
-    b = _read_matrix(buf)
+def _read_layer(cur: _Cursor) -> DenseLayer:
+    w = _read_matrix(cur)
+    b = _read_matrix(cur)
     if b.shape[0] != 1:
         raise ModelFormatError("bias must be a single row")
     return DenseLayer(w, b[0])
 
 
-def model_to_bytes(net: HybridNet) -> bytes:
-    buf = io.BytesIO()
+def _write_model(buf, net: HybridNet):
+    """Write the HNET encoding of `net` to `buf`, anything with `write`."""
     buf.write(MODEL_MAGIC)
     buf.write(struct.pack("<H", MODEL_VERSION))
     buf.write(struct.pack("<I", len(net.kinds)))
@@ -364,6 +385,11 @@ def model_to_bytes(net: HybridNet) -> bytes:
     for group in net.group_ids():
         for layer in net.group_layers(group):
             _write_layer(buf, layer)
+
+
+def model_to_bytes(net: HybridNet) -> bytes:
+    buf = io.BytesIO()
+    _write_model(buf, net)
     return buf.getvalue()
 
 
@@ -376,28 +402,29 @@ def group_bytes(net: HybridNet, group: str) -> bytes:
 
 
 def model_from_bytes(data: bytes) -> HybridNet:
-    buf = io.BytesIO(data)
-    if _read_exact(buf, 4) != MODEL_MAGIC:
+    cur = _Cursor(data)
+    if cur.take(4) != MODEL_MAGIC:
         raise ModelFormatError("bad model magic")
-    (version,) = struct.unpack("<H", _read_exact(buf, 2))
+    (version,) = struct.unpack("<H", cur.take(2))
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
-    (n_kinds,) = struct.unpack("<I", _read_exact(buf, 4))
+    (n_kinds,) = struct.unpack("<I", cur.take(4))
     kinds = []
     for i in range(n_kinds):
-        name = _read_str(buf)
-        (dim,) = struct.unpack("<I", _read_exact(buf, 4))
+        name = _read_str(cur)
+        (dim,) = struct.unpack("<I", cur.take(4))
         kinds.append(FeatureKind(i, name, dim))
-    branches = [BranchParams(_read_layer(buf), _read_layer(buf)) for _ in kinds]
-    trunk = TrunkParams(_read_layer(buf), _read_layer(buf), _read_layer(buf))
-    if buf.read(1):
+    branches = [BranchParams(_read_layer(cur), _read_layer(cur)) for _ in kinds]
+    trunk = TrunkParams(_read_layer(cur), _read_layer(cur), _read_layer(cur))
+    if not cur.at_end():
         raise ModelFormatError("trailing bytes after model data")
     return HybridNet(kinds, branches, trunk)
 
 
 def save_model(net: HybridNet, path):
+    """Write `net` as HNET, streaming each matrix straight into the file."""
     with open(path, "wb") as fh:
-        fh.write(model_to_bytes(net))
+        _write_model(fh, net)
 
 
 def load_model(path) -> HybridNet:

@@ -66,7 +66,9 @@ class LayerGrad:
 
     @classmethod
     def zeros_like(cls, layer: DenseLayer) -> "LayerGrad":
-        return cls(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+        # np.zeros, unlike np.zeros_like, maps fresh zero pages without
+        # writing them, so a gradient nobody reads costs no memory traffic
+        return cls(np.zeros(layer.weights.shape), np.zeros(layer.bias.shape))
 
 
 def init_dense(in_dim: int, out_dim: int, rng: np.random.Generator) -> DenseLayer:
@@ -123,13 +125,18 @@ def bce_loss_batch(pred: np.ndarray, label: np.ndarray) -> float:
     return float(np.mean(per_example))
 
 
-def dense_backward(x: np.ndarray, layer: DenseLayer,
-                   upstream: np.ndarray) -> tuple[LayerGrad, np.ndarray]:
+def dense_backward(x: np.ndarray, layer: DenseLayer, upstream: np.ndarray, *,
+                   params: bool = True,
+                   inputs: bool = True) -> tuple[LayerGrad | None, np.ndarray | None]:
     """Backprop through y = x W + b.
 
     Returns (grad, downstream) with d_weights = x^T upstream (outer product
     for single vectors), d_bias = upstream summed over the batch, and
-    downstream = upstream W^T.
+    downstream = upstream W^T. Each part is computed only when asked for:
+    `params=False` skips the weight matmul and bias sum of a layer whose
+    update would be discarded (a frozen layer) and returns grad None;
+    `inputs=False` skips the input gradient of a layer whose input needs
+    none (a branch's first layer) and returns downstream None.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -138,27 +145,34 @@ def dense_backward(x: np.ndarray, layer: DenseLayer,
     if upstream.shape[-1] != layer.out_dim:
         raise ShapeError(f"upstream has {upstream.shape[-1]} features, "
                          f"layer outputs {layer.out_dim}")
-    if x.ndim == 1:
-        d_w = np.outer(x, upstream)
-        d_b = upstream.copy()
-    else:
-        d_w = x.T @ upstream
-        d_b = upstream.sum(axis=0)
-    downstream = upstream @ layer.weights.T
-    return LayerGrad(d_w, d_b), downstream
+    grad = downstream = None
+    if params and x.ndim == 1:
+        grad = LayerGrad(np.outer(x, upstream), upstream.copy())
+    elif params:
+        grad = LayerGrad(x.T @ upstream, upstream.sum(axis=0))
+    if inputs:
+        downstream = upstream @ layer.weights.T
+    return grad, downstream
 
 
 def sgd_step(layer: DenseLayer, grad: LayerGrad, lr: float) -> DenseLayer:
     """In-place plain SGD update: params <- params - lr * grad.
 
-    lr = 0 is accepted and leaves the layer bit-identical.
+    lr = 0 is accepted and leaves the layer bit-identical. lr = 1 subtracts
+    `grad` as given, with no temporary the size of the layer; a caller that
+    owns its gradient buffers scales them in place and passes lr = 1.
+    `grad` itself is never modified.
     """
     if lr < 0:
         raise ValueError(f"learning rate must be nonnegative, got {lr}")
     if grad.d_weights.shape != layer.weights.shape or grad.d_bias.shape != layer.bias.shape:
         raise ShapeError("gradient shapes do not match layer shapes")
-    layer.weights -= lr * grad.d_weights
-    layer.bias -= lr * grad.d_bias
+    if lr == 1.0:
+        layer.weights -= grad.d_weights
+        layer.bias -= grad.d_bias
+    else:
+        layer.weights -= lr * grad.d_weights
+        layer.bias -= lr * grad.d_bias
     return layer
 
 

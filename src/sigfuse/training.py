@@ -20,7 +20,7 @@ from .data import Dataset
 from .evaluate import scores_to_aps
 from .model import (HybridNet, Profile, build_net, net_backward, net_forward,
                     set_trainable)
-from .nn import LayerGrad, make_rng, sgd_step
+from .nn import make_rng, sgd_step
 
 # rng stream tags
 _TAG_SHUFFLE = 20
@@ -72,24 +72,36 @@ def write_logs(rows: list[dict], path):
 
 
 def _apply_updates(net: HybridNet, grads, cfg: TrainConfig, velocities):
+    """One SGD step, in place, for every trainable group.
+
+    The step owns the buffers in `grads`: each is overwritten with
+    lr * step and then subtracted, so the update makes no temporary the
+    size of a layer (weight decay makes one, for wd * w). The arithmetic
+    is unchanged: step = g + wd * w, v = m * v + step, w -= lr * v.
+    """
+    if cfg.lr == 0:
+        return  # no parameter moves; velocities feed nothing else
     for group, layer_grads in grads.items():
         if not net.trainable.get(group, True):
             continue
         for li, (layer, g) in enumerate(zip(net.group_layers(group), layer_grads)):
-            d_w, d_b = g.d_weights, g.d_bias
+            step_w, step_b = g.d_weights, g.d_bias
             if cfg.weight_decay > 0:
-                d_w = d_w + cfg.weight_decay * layer.weights
-                d_b = d_b + cfg.weight_decay * layer.bias
+                step_w += cfg.weight_decay * layer.weights
+                step_b += cfg.weight_decay * layer.bias
             if cfg.momentum > 0:
-                vw, vb = velocities.setdefault((group, li), (np.zeros_like(layer.weights),
-                                                            np.zeros_like(layer.bias)))
+                if (group, li) not in velocities:
+                    velocities[group, li] = (np.zeros(layer.weights.shape),
+                                             np.zeros(layer.bias.shape))
+                vw, vb = velocities[group, li]
                 vw *= cfg.momentum
-                vw += d_w
+                vw += step_w
                 vb *= cfg.momentum
-                vb += d_b
-                d_w, d_b = vw, vb
-            if cfg.lr > 0:
-                sgd_step(layer, LayerGrad(d_w, d_b), cfg.lr)
+                vb += step_b
+                step_w, step_b = vw, vb
+            np.multiply(step_w, cfg.lr, out=g.d_weights)
+            np.multiply(step_b, cfg.lr, out=g.d_bias)
+            sgd_step(layer, g, 1.0)
 
 
 def validation_map(net: HybridNet, dataset: Dataset, mask) -> float:
@@ -101,10 +113,13 @@ def validation_map(net: HybridNet, dataset: Dataset, mask) -> float:
 def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
               stage: str, mask_policy: str, val_mask, shuffle_key: int,
               epochs: int, logs: list[dict], on_batch=None) -> HybridNet:
-    """Train one stage and return the best-validation-mAP checkpoint.
+    """Train one stage of `net` in place and return it at its best epoch.
 
-    Ties in validation mAP keep the earlier epoch. Frozen groups are never
-    updated, so every checkpoint carries them bit-identically.
+    The best epoch has the highest validation mAP; ties keep the earlier
+    epoch. Frozen groups are never updated, so a checkpoint holds copies
+    of the trainable groups only; they go through `DenseLayer.copy`, whose
+    finiteness check stops a diverged net from being kept. When the best
+    epoch is not the last, its checkpoint is moved back into `net`.
     """
     if not any(net.trainable.values()):
         raise ValueError("no trainable group in this stage")
@@ -116,8 +131,9 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     n = y.shape[0]
     shuffle_rng = make_rng(cfg.seed, _TAG_SHUFFLE, shuffle_key)
     drop_rng = make_rng(cfg.seed, _TAG_MODDROP, shuffle_key)
+    learning = [g for g in net.group_ids() if net.trainable.get(g, True)]
     velocities = {}
-    best_net, best_map, best_epoch = None, -np.inf, -1
+    best, best_map, best_epoch = None, -np.inf, -1
     for epoch in range(1, epochs + 1):
         perm = shuffle_rng.permutation(n)
         total_loss = 0.0
@@ -125,8 +141,6 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
             idx = perm[start:start + cfg.batch_size]
             if mask_policy == "moddrop":
                 mask = [train_kinds[drop_rng.integers(len(train_kinds))]]
-            elif mask_policy.startswith("single:"):
-                mask = train_kinds
             else:
                 mask = train_kinds
             batch = {k: xs[k][idx] for k in mask}
@@ -139,8 +153,14 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
         logs.append({"epoch": epoch, "stage": stage,
                      "train_loss": total_loss / n, "val_map": val_map})
         if val_map > best_map:
-            best_net, best_map, best_epoch = net.copy(), val_map, epoch
-    return best_net
+            best = None  # free the old checkpoint before copying the new one
+            best = {g: [layer.copy() for layer in net.group_layers(g)] for g in learning}
+            best_map, best_epoch = val_map, epoch
+    if best_epoch != epochs:
+        for group, saved in best.items():
+            for layer, kept in zip(net.group_layers(group), saved):
+                layer.weights, layer.bias = kept.weights, kept.bias
+    return net
 
 
 def train_dedicated(kind: str, dataset: Dataset, cfg: TrainConfig,

@@ -189,6 +189,22 @@ class TestNetBackward:
                 assert not g.d_weights.any() and not g.d_bias.any()
         assert any(g.d_weights.any() for g in grads["trunk"])
 
+    def test_branch_grads_same_with_trunk_frozen(self):
+        net = desk_net()
+        feats = random_features(net, n=5)
+        labels = (make_rng(1, 3).random((5, net.n_outputs)) > 0.5).astype(float)
+        mask = ["fv", "lbp"]
+        learning, _ = net_backward(feats, mask, net, labels)
+        set_trainable(net, "trunk", False)
+        frozen, _ = net_backward(feats, mask, net, labels)
+        for kind in mask:
+            for a, b in zip(learning[kind], frozen[kind]):
+                np.testing.assert_array_equal(a.d_weights, b.d_weights)
+                np.testing.assert_array_equal(a.d_bias, b.d_bias)
+        for group in ("trunk", "cnn"):
+            for g in frozen[group]:
+                assert not g.d_weights.any() and not g.d_bias.any()
+
     def test_full_net_matches_finite_differences(self):
         net = desk_net(seed=2, dims=(5, 4, 3))
         feats = random_features(net, seed=2, n=3)

@@ -121,6 +121,18 @@ class TestDenseBackward:
         np.testing.assert_array_equal(grad.d_bias, [3.0])
         np.testing.assert_array_equal(down, [6.0])
 
+    def test_skipped_parts_return_none_and_the_rest_is_unchanged(self):
+        rng = make_rng(3)
+        layer = init_dense(5, 4, rng)
+        x, upstream = rng.standard_normal((6, 5)), rng.standard_normal((6, 4))
+        full, down = dense_backward(x, layer, upstream)
+        grad, no_down = dense_backward(x, layer, upstream, inputs=False)
+        no_grad, down_only = dense_backward(x, layer, upstream, params=False)
+        assert no_down is None and no_grad is None
+        np.testing.assert_array_equal(grad.d_weights, full.d_weights)
+        np.testing.assert_array_equal(grad.d_bias, full.d_bias)
+        np.testing.assert_array_equal(down_only, down)
+
     def test_matches_finite_differences(self):
         rng = make_rng(0)
         layer = init_dense(4, 3, rng)

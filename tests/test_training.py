@@ -1,16 +1,18 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from sigfuse.data import Dataset, SyntheticSpec, ViewSpec, synth_generate
-from sigfuse.model import (PROFILES, add_branch, group_bytes, model_to_bytes,
-                           net_backward, net_forward, set_trainable)
+from sigfuse import training
+from sigfuse.model import (PROFILES, add_branch, build_net, group_bytes,
+                           model_to_bytes, net_backward, net_forward, set_trainable)
 from sigfuse.nn import bce_loss, make_rng
 from sigfuse.training import (TrainConfig, run_stage, train_allfeatnet,
                               train_allfeatnetinit, train_dedicated,
                               train_moddrop, train_multistage_seedinit,
-                              train_regime, validation_map, write_logs)
+                              profile_for, train_regime, validation_map, write_logs)
 
 DESK = PROFILES["desk"]
 
@@ -268,3 +270,87 @@ class TestBatchLoss:
         _, scores = net_forward(batch, net.kind_names(), net)
         manual = np.mean([bce_loss(scores[i], y[i]) for i in range(8)])
         assert loss == pytest.approx(manual, rel=1e-12)
+
+
+def layer_arrays(net):
+    return [[layer.weights, layer.bias] for group in net.group_ids()
+            for layer in net.group_layers(group)]
+
+
+class TestUpdateRule:
+    """run_stage's SGD steps against the update rule written out here."""
+
+    @pytest.mark.parametrize("momentum,weight_decay", [(0.9, 0.0), (0.0, 0.01), (0.9, 0.01)])
+    def test_momentum_and_weight_decay_bit_exact(self, monkeypatch, momentum, weight_decay):
+        dataset = make_dataset(n_train=160)
+        cfg = TrainConfig(lr=0.05, batch_size=32, epochs=2, seed=3,
+                          momentum=momentum, weight_decay=weight_decay)
+        net = build_net(dataset.kind_dims(), profile_for(dataset, DESK), cfg.seed)
+        seen = []  # per batch: (parameters before the step, their gradients)
+        real_backward = training.net_backward
+
+        def recording_backward(batch, mask, net, labels):
+            grads, loss = real_backward(batch, mask, net, labels)
+            seen.append(([[a.copy() for a in pair] for pair in layer_arrays(net)],
+                         [[g.d_weights.copy(), g.d_bias.copy()]
+                          for group in net.group_ids() for g in grads[group]]))
+            return grads, loss
+
+        rising = itertools.count()
+        monkeypatch.setattr(training, "net_backward", recording_backward)
+        monkeypatch.setattr(training, "validation_map", lambda *args: next(rising))
+        # moddrop leaves two branches outside each batch's mask: they still
+        # learn, from zero gradients plus weight decay and momentum
+        result = run_stage(net, dataset, cfg, stage="s", mask_policy="moddrop",
+                           val_mask=net.kind_names(), shuffle_key=0,
+                           epochs=cfg.epochs, logs=[])
+        assert len(seen) == 10
+        afters = [params for params, _ in seen[1:]] + [layer_arrays(result)]
+        velocity = [[np.zeros_like(a) for a in pair] for pair in seen[0][0]]
+        for (params, grads), after in zip(seen, afters):
+            for w_pair, g_pair, v_pair, a_pair in zip(params, grads, velocity, after):
+                for i, (w, g, a) in enumerate(zip(w_pair, g_pair, a_pair)):
+                    v_pair[i] = momentum * v_pair[i] + (g + weight_decay * w)
+                    np.testing.assert_array_equal(w - cfg.lr * v_pair[i], a)
+
+    def test_lr_zero_leaves_model_bytes(self):
+        dataset = make_dataset(n_train=160)
+        cfg = TrainConfig(lr=0.0, batch_size=32, epochs=2, seed=3,
+                          momentum=0.9, weight_decay=0.01)
+        net = build_net(dataset.kind_dims(), profile_for(dataset, DESK), cfg.seed)
+        before = model_to_bytes(net)
+        run_stage(net, dataset, cfg, stage="s", mask_policy="full",
+                  val_mask=net.kind_names(), shuffle_key=0, epochs=cfg.epochs, logs=[])
+        assert model_to_bytes(net) == before
+
+
+class TestBestEpochRestore:
+    @pytest.mark.parametrize("regime,checkpoint", [("multistage:fv", "stage1"),
+                                                   ("allfeatinit", "phase1")])
+    def test_best_epoch_before_the_last(self, monkeypatch, regime, checkpoint):
+        dataset = make_dataset(n_train=160)
+        cfg = dataclasses.replace(QUICK, epochs=3)
+        ends = []  # per epoch: (bytes of each group, groups that learn)
+        scores = itertools.cycle([0.5, 0.9, 0.7])
+
+        def fake_map(net, dataset, mask):
+            ends.append(({g: group_bytes(net, g) for g in net.group_ids()},
+                         {g for g, on in net.trainable.items() if on}))
+            return next(scores)
+
+        monkeypatch.setattr(training, "validation_map", fake_map)
+        result = train_regime(regime, dataset, cfg, DESK)
+        stages = [ends[i:i + 3] for i in range(0, len(ends), 3)]
+        assert len(stages) == (4 if regime == "allfeatinit" else 3)
+        # every stage keeps its second epoch ...
+        assert {g: group_bytes(result.net, g) for g in result.net.group_ids()} == stages[-1][1][0]
+        assert {g: group_bytes(result.checkpoints[checkpoint], g)
+                for g in result.net.group_ids()} == stages[0][1][0]
+        # ... and the next stage starts from it, its frozen groups untouched
+        for prev, stage in zip(stages, stages[1:]):
+            for groups, learning in stage:
+                for g in set(groups) - learning:
+                    assert groups[g] == prev[1][0][g], g
+        returned = [a for pair in layer_arrays(result.net) for a in pair]
+        kept = [a for pair in layer_arrays(result.checkpoints[checkpoint]) for a in pair]
+        assert not any(np.shares_memory(a, b) for a in returned for b in kept)
