@@ -199,9 +199,16 @@ def bank_from_bytes(data: bytes) -> FeatureBank:
     dim, count = struct.unpack("<IQ", _read_exact(buf, 12))
     if dim > 1 << 24:
         raise DataFormatError(f"bank dim {dim} exceeds size limit")
+    # a record is at least a u16 id length and its vector; check before the loop
+    least, remaining = count * (2 + 4 * dim), len(data) - buf.tell()
+    if least > remaining:
+        raise DataFormatError(f"truncated bank file: a count of {count} records of "
+                              f"dim {dim} needs at least {least} bytes, {remaining} remain")
     entries = {}
     for _ in range(count):
         img_id = _read_str32(buf)
+        if img_id in entries:
+            raise DataFormatError(f"duplicate image id {img_id!r} in bank")
         vals = np.frombuffer(_read_exact(buf, 4 * dim), dtype="<f4")
         entries[img_id] = vals.copy()
     if buf.read(1):

@@ -1,5 +1,10 @@
 """Average precision, per-mask evaluation and the feature-combination sweep.
 
+The sweep stacks the split once and runs each branch over it once; every
+mask is then scored by merging the cached branch outputs into its
+signature and running the trunk, as the client does before it sends a
+frame.
+
 AP uses the interpolation-free discrete estimator: mean precision at the
 ranks of the positives after a stable descending sort (ties broken by
 ascending original index). Attributes without positives in a split have
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .model import HybridNet, net_forward, normalize_mask
+from .model import (HybridNet, branch_forward, merge_sum, net_forward,
+                    normalize_mask, trunk_forward)
 
 
 class UndefinedAPError(ValueError):
@@ -81,12 +87,22 @@ class EvalReport:
 
 
 def combination_sweep(net: HybridNet, dataset: Dataset, split: str) -> EvalReport:
-    """Evaluate every nonempty feature combination (2^K - 1 masks)."""
+    """Evaluate every nonempty feature combination (2^K - 1 masks).
+
+    Each branch encodes the split once; a mask's signature merges the
+    cached outputs of its kinds. `merge_sum` adds in a canonical order and
+    each branch sees the matrix `evaluate_mask` would give it, so every AP
+    equals the per-mask `evaluate_mask` result bit for bit.
+    """
     kinds = net.kind_names()
+    _, xs, y = dataset.arrays(split, kinds=kinds)
+    # pop each input matrix so it is freed once its branch has encoded it
+    encoded = {k: branch_forward(xs.pop(k), net.branch_for(k)) for k in kinds}
     masks, per_attr, means = [], [], []
     for bits in range(1, 1 << len(kinds)):
         mask = tuple(k for i, k in enumerate(kinds) if bits & (1 << i))
-        aps, mean = evaluate_mask(net, dataset, split, mask)
+        scores = trunk_forward(merge_sum([encoded[k] for k in mask]), net.trunk)
+        aps, mean = scores_to_aps(scores, y)
         masks.append(mask)
         per_attr.append(aps)
         means.append(mean)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import (DenseLayer, LayerGrad, ShapeError, dense_backward,
-                 dense_forward, init_dense, make_rng, relu, sigmoid)
+from .nn import (DenseLayer, LayerGrad, ShapeError, bce_loss_batch,
+                 dense_backward, dense_forward, init_dense, make_rng, relu,
+                 sigmoid)
 
 MODEL_MAGIC = b"HNET"
 MODEL_VERSION = 1
@@ -219,14 +220,19 @@ def trunk_forward(sig: np.ndarray, trunk: TrunkParams) -> np.ndarray:
     return sigmoid(dense_forward(h4, trunk.out))
 
 
-def net_forward(features: dict, mask, net: HybridNet) -> tuple[np.ndarray, np.ndarray]:
-    """Full forward pass for the kinds in `mask`; returns (signature, scores)."""
+def encode_signature(features: dict, mask, net: HybridNet) -> np.ndarray:
+    """The universal signature of the kinds in `mask`: each kind's branch
+    output, merged by `merge_sum`. This is what a client sends."""
     active = normalize_mask(mask, net)
     missing = [k for k in active if k not in features]
     if missing:
         raise ValueError(f"mask kinds missing from feature map: {missing}")
-    hs = [branch_forward(features[k], net.branch_for(k)) for k in active]
-    sig = merge_sum(hs)
+    return merge_sum([branch_forward(features[k], net.branch_for(k)) for k in active])
+
+
+def net_forward(features: dict, mask, net: HybridNet) -> tuple[np.ndarray, np.ndarray]:
+    """Full forward pass for the kinds in `mask`; returns (signature, scores)."""
+    sig = encode_signature(features, mask, net)
     return sig, trunk_forward(sig, net.trunk)
 
 
@@ -266,7 +272,6 @@ def net_backward(features: dict, mask, net: HybridNet,
     h4 = relu(dense_forward(h3, net.trunk.layer4))
     p = sigmoid(dense_forward(h4, net.trunk.out))
 
-    from .nn import bce_loss_batch
     loss = bce_loss_batch(p, y)
 
     grads = {}

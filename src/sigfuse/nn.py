@@ -42,6 +42,10 @@ class DenseLayer:
         if self.weights.shape[1] != self.bias.shape[0]:
             raise ShapeError(f"bias length {self.bias.shape[0]} does not match "
                              f"weight columns {self.weights.shape[1]}")
+        self.check_finite()
+
+    def check_finite(self):
+        """Raise ValueError unless every weight and bias is finite."""
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("layer parameters must be finite")
 

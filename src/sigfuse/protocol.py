@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (HybridNet, branch_forward, load_model, mask_to_bits,
-                    merge_sum, normalize_mask, trunk_forward)
+from .model import (HybridNet, encode_signature, load_model, mask_to_bits,
+                    trunk_forward)
 
 REQUEST_MAGIC = b"UFSG"
 RESPONSE_MAGIC = b"UFSR"
@@ -30,6 +30,10 @@ STATUS_OK = 0
 STATUS_BAD_FRAME = 1
 STATUS_DIM_MISMATCH = 2
 STATUS_SERVER_ERROR = 3
+
+# seconds between shutdown checks of a server run by `serve_in_background`;
+# `shutdown()` waits up to this long
+BACKGROUND_POLL_S = 0.05
 
 _REQ_HEADER = struct.Struct("<4sBBH")
 _RESP_HEADER = struct.Struct("<4sBBH")
@@ -191,7 +195,8 @@ class SignatureServer(socketserver.ThreadingTCPServer):
         return self.socket.getsockname()[:2]
 
     def serve_in_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        thread = threading.Thread(target=self.serve_forever, daemon=True,
+                                  kwargs={"poll_interval": BACKGROUND_POLL_S})
         thread.start()
         return thread
 
@@ -204,14 +209,8 @@ def client_query(features: dict, mask, net: HybridNet,
                  endpoint: tuple[str, int], timeout: float = 10.0) -> np.ndarray:
     """Branch-encode the masked features locally, merge them into one
     signature, transmit a single frame and return the decoded scores."""
-    active = normalize_mask(mask, net)
-    missing = [k for k in active if k not in features]
-    if missing:
-        raise ValueError(f"mask kinds missing from feature map: {missing}")
-    hs = [branch_forward(np.asarray(features[k], dtype=np.float64),
-                         net.branch_for(k)) for k in active]
-    signature = merge_sum(hs)
-    frame = encode_request(signature, mask_to_bits(active, net))
+    signature = encode_signature(features, mask, net)
+    frame = encode_request(signature, mask_to_bits(mask, net))
     with socket.create_connection(endpoint, timeout=timeout) as sock:
         sock.sendall(frame)
         header = _recv_exact(sock, _RESP_HEADER.size)

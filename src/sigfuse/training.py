@@ -118,8 +118,10 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     The best epoch has the highest validation mAP; ties keep the earlier
     epoch. Frozen groups are never updated, so a checkpoint holds copies
     of the trainable groups only; they go through `DenseLayer.copy`, whose
-    finiteness check stops a diverged net from being kept. When the best
-    epoch is not the last, its checkpoint is moved back into `net`.
+    finiteness check stops a diverged net from being kept. An improving
+    last epoch is never restored, so it is checked in place, not copied.
+    When the best epoch is not the last, its checkpoint is moved back
+    into `net`.
     """
     if not any(net.trainable.values()):
         raise ValueError("no trainable group in this stage")
@@ -154,7 +156,13 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
                      "train_loss": total_loss / n, "val_map": val_map})
         if val_map > best_map:
             best = None  # free the old checkpoint before copying the new one
-            best = {g: [layer.copy() for layer in net.group_layers(g)] for g in learning}
+            if epoch < epochs:
+                best = {g: [layer.copy() for layer in net.group_layers(g)]
+                        for g in learning}
+            else:
+                for g in learning:
+                    for layer in net.group_layers(g):
+                        layer.check_finite()
             best_map, best_epoch = val_map, epoch
     if best_epoch != epochs:
         for group, saved in best.items():

@@ -123,6 +123,25 @@ class TestFeatureBank:
         with pytest.raises(DataFormatError, match="truncated"):
             bank_from_bytes(data[:-1])
 
+    def test_duplicate_id_rejected(self):
+        bank = FeatureBank("fv", 2, {"a": np.zeros(2, np.float32),
+                                     "b": np.ones(2, np.float32)})
+        data = bank_to_bytes(bank)
+        record_b = b"\x01\x00b" + np.ones(2, "<f4").tobytes()
+        assert data.endswith(record_b)
+        data = data[:-len(record_b)] + b"\x01\x00a" + record_b[3:]
+        with pytest.raises(DataFormatError, match="duplicate image id 'a'"):
+            bank_from_bytes(data)
+
+    @pytest.mark.parametrize("count", [2, 1 << 40, (1 << 64) - 1])
+    def test_count_beyond_file_size_rejected(self, count):
+        data = bytearray(bank_to_bytes(FeatureBank("fv", 2, {"a": np.zeros(2, np.float32)})))
+        count_at = 4 + 2 + 2 + len("fv") + 4  # magic, version, kind name, dim
+        assert int.from_bytes(data[count_at:count_at + 8], "little") == 1
+        data[count_at:count_at + 8] = count.to_bytes(8, "little")
+        with pytest.raises(DataFormatError, match=f"count of {count} records"):
+            bank_from_bytes(bytes(data))
+
     def test_wrong_dim_entry_rejected(self):
         bank = FeatureBank("fv", 4, {})
         with pytest.raises(ValueError):

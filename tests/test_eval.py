@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sigfuse import evaluate
 from sigfuse.data import Dataset, SyntheticSpec, ViewSpec, synth_generate
 from sigfuse.evaluate import (EvalReport, UndefinedAPError, average_precision,
                               combination_sweep, evaluate_mask,
@@ -163,6 +164,87 @@ class TestCombinationSweep:
         for aps, mean in zip(report.per_attribute, report.mean_ap):
             defined = aps[~np.isnan(aps)]
             assert abs(mean - defined.mean()) < 1e-12
+
+
+def sweep_by_mask(net, dataset, split) -> EvalReport:
+    """The combination sweep as one `evaluate_mask` call per mask."""
+    kinds = net.kind_names()
+    masks = [tuple(k for i, k in enumerate(kinds) if bits & (1 << i))
+             for bits in range(1, 1 << len(kinds))]
+    rows = [evaluate_mask(net, dataset, split, mask) for mask in masks]
+    return EvalReport(kinds, list(dataset.table.names), masks,
+                      [aps for aps, _ in rows], [mean for _, mean in rows])
+
+
+def dataset_with_empty_attribute():
+    """The toy dataset with no positives for attribute 2 in the test split."""
+    dataset = toy_dataset()
+    for img_id in dataset.table.ids_for("test"):
+        row = dataset.table.rows[img_id].copy()
+        row[2] = 0
+        dataset.table.rows[img_id] = row
+    return dataset
+
+
+class TestSweepFromCachedBranches:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bit_identical_to_per_mask_evaluation(self, monkeypatch, seed):
+        dataset = dataset_with_empty_attribute()
+        net = toy_net(dataset, seed=seed)
+        scored = []  # the trunk scores of every mask, from both sweeps
+        real_scores_to_aps = evaluate.scores_to_aps
+
+        def recording(scores, labels):
+            scored.append(scores.tobytes())
+            return real_scores_to_aps(scores, labels)
+
+        monkeypatch.setattr(evaluate, "scores_to_aps", recording)
+        got, want = combination_sweep(net, dataset, "test"), sweep_by_mask(net, dataset, "test")
+        assert scored[:7] == scored[7:]
+        assert got.masks == want.masks
+        assert got.kind_names == want.kind_names
+        assert got.attribute_names == want.attribute_names
+        for a, b in zip(got.per_attribute, want.per_attribute):
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.isnan(a[2])
+        assert got.mean_ap == want.mean_ap
+        for fmt in ("csv", "markdown"):
+            assert report_emit(got, fmt).encode() == report_emit(want, fmt).encode()
+
+    def test_each_branch_encodes_the_split_once(self, monkeypatch):
+        dataset = toy_dataset()
+        net = toy_net(dataset)
+        calls = {"branch": [], "arrays": 0}
+        branch_forward, arrays = evaluate.branch_forward, Dataset.arrays
+
+        def counting_branch(x, branch):
+            calls["branch"].append(branch)
+            return branch_forward(x, branch)
+
+        def counting_arrays(self, *args, **kwargs):
+            calls["arrays"] += 1
+            return arrays(self, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "branch_forward", counting_branch)
+        monkeypatch.setattr(Dataset, "arrays", counting_arrays)
+        report = combination_sweep(net, dataset, "test")
+        assert len(report.masks) == 7
+        assert calls["arrays"] == 1
+        assert len(calls["branch"]) == 3
+        assert {id(b) for b in calls["branch"]} == {id(b) for b in net.branches}
+
+    @pytest.mark.parametrize("missing", [["cnn"], ["cnn", "lbp"], ["fv"]])
+    def test_missing_bank_names_the_first_missing_kind(self, missing):
+        dataset = toy_dataset()
+        net = toy_net(dataset)
+        for kind in missing:
+            del dataset.banks[kind]
+        with pytest.raises(ValueError) as want:
+            sweep_by_mask(net, dataset, "test")
+        with pytest.raises(ValueError) as got:
+            combination_sweep(net, dataset, "test")
+        assert str(got.value) == str(want.value)
+        assert repr(missing[0]) in str(got.value)
 
 
 class TestReportEmit:

@@ -3,7 +3,8 @@ import pytest
 
 from sigfuse.model import (PROFILES, BranchParams, FeatureKind, HybridNet,
                            ModelFormatError, TrunkParams, bits_to_mask,
-                           branch_forward, build_net, group_bytes, load_model,
+                           branch_forward, build_net, encode_signature,
+                           group_bytes, load_model,
                            mask_to_bits, merge_sum, model_from_bytes,
                            model_to_bytes, net_backward, net_forward,
                            save_model, set_trainable, trunk_forward)
@@ -157,6 +158,17 @@ class TestNetForward:
                                 for k in net.kinds])
         np.testing.assert_array_equal(sig, manual_sig)
         np.testing.assert_array_equal(scores, trunk_forward(manual_sig, net.trunk))
+
+    def test_encode_signature_is_the_forward_signature(self):
+        net = desk_net(seed=2)
+        feats = random_features(net, seed=2)
+        sig, _ = net_forward(feats, ("lbp", "fv"), net)
+        assert encode_signature(feats, ["fv", "lbp"], net).tobytes() == sig.tobytes()
+        # float32 and list inputs are upcast exactly as float64 would be
+        f32 = {k: v.astype(np.float32) for k, v in feats.items()}
+        as_lists = {k: v.astype(np.float64).tolist() for k, v in f32.items()}
+        assert (encode_signature(f32, ["fv", "lbp"], net).tobytes()
+                == encode_signature(as_lists, ["fv", "lbp"], net).tobytes())
 
     def test_unknown_mask_kind(self):
         net = desk_net()

@@ -8,7 +8,7 @@ from sigfuse.data import Dataset, SyntheticSpec, ViewSpec, synth_generate
 from sigfuse import training
 from sigfuse.model import (PROFILES, add_branch, build_net, group_bytes,
                            model_to_bytes, net_backward, net_forward, set_trainable)
-from sigfuse.nn import bce_loss, make_rng
+from sigfuse.nn import DenseLayer, bce_loss, make_rng
 from sigfuse.training import (TrainConfig, run_stage, train_allfeatnet,
                               train_allfeatnetinit, train_dedicated,
                               train_moddrop, train_multistage_seedinit,
@@ -354,3 +354,49 @@ class TestBestEpochRestore:
         returned = [a for pair in layer_arrays(result.net) for a in pair]
         kept = [a for pair in layer_arrays(result.checkpoints[checkpoint]) for a in pair]
         assert not any(np.shares_memory(a, b) for a in returned for b in kept)
+
+
+class TestLastEpochCheckpoint:
+    """An improving last epoch is kept as trained: checked, never copied."""
+
+    def _stage(self, monkeypatch, on_batch=None, frozen=()):
+        dataset = make_dataset(n_train=160)
+        cfg = dataclasses.replace(QUICK, epochs=3)
+        net = build_net(dataset.kind_dims(), profile_for(dataset, DESK), cfg.seed)
+        for group in frozen:
+            set_trainable(net, group, False)
+        epochs_done = []
+        copies = []  # the epoch each checkpoint copy is made in
+        real_copy = DenseLayer.copy
+
+        def rising_map(net, dataset, mask):
+            epochs_done.append(len(epochs_done) + 1)
+            return 0.1 * len(epochs_done)
+
+        def counting_copy(layer):
+            copies.append(len(epochs_done))
+            return real_copy(layer)
+
+        monkeypatch.setattr(training, "validation_map", rising_map)
+        monkeypatch.setattr(DenseLayer, "copy", counting_copy)
+        hook = None if on_batch is None else lambda net, mask: on_batch(net, len(epochs_done))
+        run_stage(net, dataset, cfg, stage="s", mask_policy="full",
+                  val_mask=net.kind_names(), shuffle_key=0, epochs=cfg.epochs,
+                  logs=[], on_batch=hook)
+        return net, copies
+
+    @pytest.mark.parametrize("frozen", [(), ("trunk", "cnn")])
+    def test_copies_only_before_the_last_epoch(self, monkeypatch, frozen):
+        net, copies = self._stage(monkeypatch, frozen=frozen)
+        n_layers = sum(len(net.group_layers(g)) for g in net.group_ids() if g not in frozen)
+        assert copies == [1] * n_layers + [2] * n_layers
+
+    @pytest.mark.parametrize("group", ["trunk", "lbp"])
+    def test_non_finite_last_epoch_still_rejected(self, monkeypatch, group):
+        def poison(net, epochs_done):
+            if epochs_done == 2:  # inside the third and last epoch
+                net.group_layers(group)[-1].bias[0] = np.inf
+
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="^layer parameters must be finite$"):
+            self._stage(monkeypatch, on_batch=poison)
