@@ -29,7 +29,7 @@ from .data import (DataFormatError, Dataset, SyntheticSpec, ViewSpec,
 from .evaluate import combination_sweep, report_emit
 from .model import PROFILES, ModelFormatError, load_model, save_model
 from .protocol import ProtocolError, SignatureServer, client_query
-from .training import TrainConfig, train_regime, write_logs
+from .training import TrainConfig, regime_schedule, run_schedule, write_logs
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -120,15 +120,16 @@ def _resolve_train_config(args) -> dict:
 def cmd_train(args) -> int:
     cfg_map = _resolve_train_config(args)
     dataset = load_dataset(cfg_map["attrs"], cfg_map["split"], cfg_map["banks"])
-    cfg = TrainConfig(lr=cfg_map["lr"], batch_size=cfg_map["batch_size"],
-                      epochs=cfg_map["epochs"], seed=cfg_map["seed"],
-                      momentum=cfg_map["momentum"],
-                      weight_decay=cfg_map["weight_decay"])
     try:
-        result = train_regime(cfg_map["regime"], dataset, cfg,
-                              PROFILES[cfg_map["profile"]])
+        cfg = TrainConfig(lr=cfg_map["lr"], batch_size=cfg_map["batch_size"],
+                          epochs=cfg_map["epochs"], seed=cfg_map["seed"],
+                          momentum=cfg_map["momentum"],
+                          weight_decay=cfg_map["weight_decay"])
+        stages = regime_schedule(cfg_map["regime"], list(dataset.banks))
     except ValueError as exc:
         raise UsageError(str(exc))
+    # a ValueError while training (a diverged net) is a runtime error
+    result = run_schedule(stages, dataset, cfg, PROFILES[cfg_map["profile"]])
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_suffix(out.suffix + ".log.csv")
     manifest_path = (Path(args.manifest) if args.manifest

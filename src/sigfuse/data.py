@@ -173,7 +173,10 @@ def _read_exact(buf, n: int) -> bytes:
 
 def _read_str32(buf) -> str:
     (n,) = struct.unpack("<H", _read_exact(buf, 2))
-    return _read_exact(buf, n).decode("utf-8")
+    try:
+        return _read_exact(buf, n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"bank string is not UTF-8: {exc}") from None
 
 
 def bank_to_bytes(bank: FeatureBank) -> bytes:

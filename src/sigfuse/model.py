@@ -188,10 +188,14 @@ def bits_to_mask(bits: int, net: HybridNet) -> list[str]:
     return [k.name for k in net.kinds if bits & (1 << k.id)]
 
 
+def _branch_activations(x: np.ndarray, branch: BranchParams) -> tuple[np.ndarray, np.ndarray]:
+    h1 = relu(dense_forward(x, branch.layer1))
+    return h1, relu(dense_forward(h1, branch.layer2))
+
+
 def branch_forward(x: np.ndarray, branch: BranchParams) -> np.ndarray:
     """relu(dense2(relu(dense1(x)))); output is elementwise >= 0."""
-    h1 = relu(dense_forward(x, branch.layer1))
-    return relu(dense_forward(h1, branch.layer2))
+    return _branch_activations(x, branch)[-1]
 
 
 def merge_sum(hs: list[np.ndarray]) -> np.ndarray:
@@ -213,11 +217,15 @@ def merge_sum(hs: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def trunk_forward(sig: np.ndarray, trunk: TrunkParams) -> np.ndarray:
-    """Shared layers: two dense+ReLU then the sigmoid output layer."""
+def _trunk_activations(sig: np.ndarray, trunk: TrunkParams) -> tuple[np.ndarray, ...]:
     h3 = relu(dense_forward(sig, trunk.layer3))
     h4 = relu(dense_forward(h3, trunk.layer4))
-    return sigmoid(dense_forward(h4, trunk.out))
+    return h3, h4, sigmoid(dense_forward(h4, trunk.out))
+
+
+def trunk_forward(sig: np.ndarray, trunk: TrunkParams) -> np.ndarray:
+    """Shared layers: two dense+ReLU then the sigmoid output layer."""
+    return _trunk_activations(sig, trunk)[-1]
 
 
 def encode_signature(features: dict, mask, net: HybridNet) -> np.ndarray:
@@ -260,17 +268,12 @@ def net_backward(features: dict, mask, net: HybridNet,
     # forward with cached activations
     branch_acts = {}
     for name in active:
-        b = net.branch_for(name)
         x = np.asarray(features[name], dtype=np.float64)
         if single and x.ndim == 1:
             x = x[None, :]
-        h1 = relu(dense_forward(x, b.layer1))
-        h2 = relu(dense_forward(h1, b.layer2))
-        branch_acts[name] = (x, h1, h2)
+        branch_acts[name] = (x, *_branch_activations(x, net.branch_for(name)))
     sig = merge_sum([branch_acts[k][2] for k in active])
-    h3 = relu(dense_forward(sig, net.trunk.layer3))
-    h4 = relu(dense_forward(h3, net.trunk.layer4))
-    p = sigmoid(dense_forward(h4, net.trunk.out))
+    h3, h4, p = _trunk_activations(sig, net.trunk)
 
     loss = bce_loss_batch(p, y)
 
@@ -348,7 +351,10 @@ class _Cursor:
 
 def _read_str(cur: _Cursor) -> str:
     (n,) = struct.unpack("<H", cur.take(2))
-    return str(cur.take(n), "utf-8")
+    try:
+        return str(cur.take(n), "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model string is not UTF-8: {exc}") from None
 
 
 def _write_matrix(buf, m: np.ndarray):

@@ -108,25 +108,24 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     return np.clip(out, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
 
 
-def bce_loss(pred: np.ndarray, label: np.ndarray) -> float:
-    """Sum over attributes of binary cross-entropy, predictions clamped."""
+def _bce_terms(pred: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Elementwise log-likelihood, predictions clamped; BCE negates its sum."""
     pred = np.asarray(pred, dtype=np.float64)
     label = np.asarray(label, dtype=np.float64)
     if pred.shape != label.shape:
         raise ShapeError(f"pred shape {pred.shape} != label shape {label.shape}")
     p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
-    return float(-np.sum(label * np.log(p) + (1.0 - label) * np.log(1.0 - p)))
+    return label * np.log(p) + (1.0 - label) * np.log(1.0 - p)
+
+
+def bce_loss(pred: np.ndarray, label: np.ndarray) -> float:
+    """Sum over attributes of binary cross-entropy, predictions clamped."""
+    return float(-np.sum(_bce_terms(pred, label)))
 
 
 def bce_loss_batch(pred: np.ndarray, label: np.ndarray) -> float:
     """Mean over examples of the per-example summed BCE. pred, label: (n, L)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    label = np.asarray(label, dtype=np.float64)
-    if pred.shape != label.shape:
-        raise ShapeError(f"pred shape {pred.shape} != label shape {label.shape}")
-    p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
-    per_example = -np.sum(label * np.log(p) + (1.0 - label) * np.log(1.0 - p), axis=-1)
-    return float(np.mean(per_example))
+    return float(np.mean(-np.sum(_bce_terms(pred, label), axis=-1)))
 
 
 def dense_backward(x: np.ndarray, layer: DenseLayer, upstream: np.ndarray, *,

@@ -2,7 +2,8 @@
 
 Five regimes: dedicated single-feature nets, all-features training,
 modality-drop training, and the two multistage strategies (seed-feature
-initialization and all-features initialization). Every regime is
+initialization and all-features initialization). Each regime is a list
+of `StageSchedule`s, and `run_schedule` runs every list. Every regime is
 deterministic under a fixed seed: identical seeds give bit-identical
 models. The per-batch objective is the mean over examples of the
 summed-over-attributes BCE.
@@ -43,13 +44,16 @@ class TrainConfig:
             raise ValueError("momentum and weight decay must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageSchedule:
-    """One training stage: which groups learn, which mask each batch sees."""
+    """One training stage of `cfg.epochs` epochs: which groups learn, which
+    mask each batch sees, and the name of the net copy kept after it."""
 
-    trainable: list[str]
+    stage: str                # log label
+    trainable: tuple[str, ...]
     mask_policy: str          # "full", "moddrop", or "single:<kind>"
-    epochs: int
+    shuffle_key: int = 0
+    checkpoint: str | None = None
 
 
 @dataclass
@@ -104,6 +108,14 @@ def _apply_updates(net: HybridNet, grads, cfg: TrainConfig, velocities):
             sgd_step(layer, g, 1.0)
 
 
+def _policy_kinds(mask_policy: str, net: HybridNet) -> list[str]:
+    """The kinds a stage trains and validates on: the one kind of a
+    `single:<kind>` policy, every kind of `net` otherwise."""
+    if mask_policy.startswith("single:"):
+        return [mask_policy.split(":", 1)[1]]
+    return net.kind_names()
+
+
 def validation_map(net: HybridNet, dataset: Dataset, mask) -> float:
     _, xs, y = dataset.arrays("val", kinds=list(mask))
     _, scores = net_forward(xs, mask, net)
@@ -125,10 +137,7 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     """
     if not any(net.trainable.values()):
         raise ValueError("no trainable group in this stage")
-    if mask_policy.startswith("single:"):
-        train_kinds = [mask_policy.split(":", 1)[1]]
-    else:
-        train_kinds = net.kind_names()
+    train_kinds = _policy_kinds(mask_policy, net)
     _, xs, y = dataset.arrays("train", kinds=train_kinds)
     n = y.shape[0]
     shuffle_rng = make_rng(cfg.seed, _TAG_SHUFFLE, shuffle_key)
@@ -171,127 +180,105 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     return net
 
 
+REGIMES = ("dedicated", "allfeat", "moddrop", "multistage", "allfeatinit")
+
+
+def regime_schedule(regime: str, kinds: list[str], stage_order=None) -> list[StageSchedule]:
+    """The stages of `dedicated:<kind>`, `allfeat`, `moddrop`,
+    `multistage:<seed-kind>` or `allfeatinit` over `kinds` (in kind-id
+    order); `stage_order` orders multistage's later stages. Every bad
+    argument raises here, before anything trains."""
+    name, _, arg = regime.partition(":")
+    if name not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    if name in ("dedicated", "multistage"):
+        what = "seed kind" if name == "multistage" else "kind"
+        if not arg:
+            raise ValueError(f"regime {name!r} needs a {what}, e.g. {name}:fv")
+        if arg not in kinds:
+            raise ValueError(f"dataset has no bank for {what} {arg!r}")
+    every = (*kinds, "trunk")
+    if name == "dedicated":
+        return [StageSchedule(f"dedicated:{arg}", (arg, "trunk"), f"single:{arg}")]
+    if name == "allfeat":
+        return [StageSchedule("allfeat", every, "full")]
+    if name == "moddrop":
+        return [StageSchedule("moddrop", every, "moddrop")]
+    if name == "multistage":
+        # the seed branch and the trunk first; then, trunk frozen, each
+        # remaining branch from its fresh seeded initialization, so stage
+        # order cannot influence any branch's final parameters
+        remaining = [k for k in (stage_order or kinds) if k != arg]
+        if sorted(remaining) != sorted(k for k in kinds if k != arg):
+            raise ValueError("stage_order must cover every non-seed kind exactly once")
+        return [StageSchedule(f"stage1:{arg}", (arg, "trunk"), f"single:{arg}",
+                              kinds.index(arg), checkpoint="stage1")] + [
+            StageSchedule(f"stage:{k}", (k,), f"single:{k}", kinds.index(k))
+            for k in remaining]
+    # allfeatinit: all-features training, then, trunk frozen, each branch
+    # fine-tuned from its phase-1 values
+    return [StageSchedule("allfeat", every, "full", checkpoint="phase1")] + [
+        StageSchedule(f"finetune:{k}", (k,), f"single:{k}", 100 + kinds.index(k))
+        for k in kinds]
+
+
+def _learn_only(net: HybridNet, groups):
+    for group in net.group_ids():
+        set_trainable(net, group, group in groups)
+
+
+def run_schedule(stages: list[StageSchedule], dataset: Dataset, cfg: TrainConfig,
+                 profile: Profile, on_batch=None) -> TrainResult:
+    """Train a fresh net, with a branch for every kind some stage trains,
+    through `stages`: in each, exactly its groups learn; after the last,
+    every group does."""
+    learned = {g for s in stages for g in s.trainable}
+    net = build_net([kd for kd in dataset.kind_dims() if kd[0] in learned],
+                    profile_for(dataset, profile), cfg.seed)
+    logs, checkpoints = [], {}
+    for s in stages:
+        _learn_only(net, s.trainable)
+        run_stage(net, dataset, cfg, stage=s.stage, mask_policy=s.mask_policy,
+                  val_mask=_policy_kinds(s.mask_policy, net), shuffle_key=s.shuffle_key,
+                  epochs=cfg.epochs, logs=logs, on_batch=on_batch)
+        if s.checkpoint:
+            checkpoints[s.checkpoint] = net.copy()
+    _learn_only(net, net.group_ids())
+    return TrainResult(net, logs, checkpoints)
+
+
+def train_regime(regime: str, dataset: Dataset, cfg: TrainConfig,
+                 profile: Profile) -> TrainResult:
+    """Train under a regime string; see `regime_schedule`."""
+    return run_schedule(regime_schedule(regime, list(dataset.banks)), dataset, cfg, profile)
+
+
 def train_dedicated(kind: str, dataset: Dataset, cfg: TrainConfig,
                     profile: Profile) -> TrainResult:
     """Single-feature net: one branch plus trunk, trained and selected on `kind`."""
-    if kind not in dataset.banks:
-        raise ValueError(f"dataset has no bank for kind {kind!r}")
-    profile = profile_for(dataset, profile)
-    net = build_net([(kind, dataset.banks[kind].dim)], profile, cfg.seed)
-    logs = []
-    net = run_stage(net, dataset, cfg, stage=f"dedicated:{kind}",
-                    mask_policy=f"single:{kind}", val_mask=[kind],
-                    shuffle_key=0, epochs=cfg.epochs, logs=logs)
-    return TrainResult(net, logs)
+    return train_regime(f"dedicated:{kind}", dataset, cfg, profile)
 
 
 def train_allfeatnet(dataset: Dataset, cfg: TrainConfig, profile: Profile) -> TrainResult:
     """Every batch carries the full feature mask; all groups learn."""
-    profile = profile_for(dataset, profile)
-    net = build_net(dataset.kind_dims(), profile, cfg.seed)
-    logs = []
-    net = run_stage(net, dataset, cfg, stage="allfeat", mask_policy="full",
-                    val_mask=net.kind_names(), shuffle_key=0,
-                    epochs=cfg.epochs, logs=logs)
-    return TrainResult(net, logs)
+    return train_regime("allfeat", dataset, cfg, profile)
 
 
 def train_moddrop(dataset: Dataset, cfg: TrainConfig, profile: Profile,
                   on_batch=None) -> TrainResult:
     """Each batch uses a single kind drawn uniformly from the seeded stream."""
-    profile = profile_for(dataset, profile)
-    net = build_net(dataset.kind_dims(), profile, cfg.seed)
-    logs = []
-    net = run_stage(net, dataset, cfg, stage="moddrop", mask_policy="moddrop",
-                    val_mask=net.kind_names(), shuffle_key=0,
-                    epochs=cfg.epochs, logs=logs, on_batch=on_batch)
-    return TrainResult(net, logs)
+    return run_schedule(regime_schedule("moddrop", list(dataset.banks)), dataset, cfg,
+                        profile, on_batch)
 
 
 def train_multistage_seedinit(seed_kind: str, dataset: Dataset, cfg: TrainConfig,
                               profile: Profile, stage_order=None) -> TrainResult:
-    """Seed-feature-initialized multistage training.
-
-    Stage 1 trains the seed branch plus the trunk on seed-kind batches.
-    Each later stage freezes the trunk and trains one remaining branch
-    from its fresh seeded initialization on single-kind batches, so stage
-    order cannot influence any branch's final parameters.
-    """
-    if seed_kind not in dataset.banks:
-        raise ValueError(f"dataset has no bank for seed kind {seed_kind!r}")
-    profile = profile_for(dataset, profile)
-    net = build_net(dataset.kind_dims(), profile, cfg.seed)
-    logs = []
-    for group in net.group_ids():
-        set_trainable(net, group, group in (seed_kind, "trunk"))
-    net = run_stage(net, dataset, cfg, stage=f"stage1:{seed_kind}",
-                    mask_policy=f"single:{seed_kind}", val_mask=[seed_kind],
-                    shuffle_key=net.kind_by_name(seed_kind).id,
-                    epochs=cfg.epochs, logs=logs)
-    checkpoints = {"stage1": net.copy()}
-    set_trainable(net, "trunk", False)
-    set_trainable(net, seed_kind, False)
-    remaining = [k for k in (stage_order or net.kind_names()) if k != seed_kind]
-    if sorted(remaining) != sorted(k for k in net.kind_names() if k != seed_kind):
-        raise ValueError("stage_order must cover every non-seed kind exactly once")
-    for kind in remaining:
-        set_trainable(net, kind, True)
-        net = run_stage(net, dataset, cfg, stage=f"stage:{kind}",
-                        mask_policy=f"single:{kind}", val_mask=[kind],
-                        shuffle_key=net.kind_by_name(kind).id,
-                        epochs=cfg.epochs, logs=logs)
-        set_trainable(net, kind, False)
-    for group in net.group_ids():
-        set_trainable(net, group, True)
-    return TrainResult(net, logs, checkpoints)
+    """Seed-feature-initialized multistage training (checkpoint `stage1`)."""
+    return run_schedule(regime_schedule(f"multistage:{seed_kind}", list(dataset.banks),
+                                        stage_order), dataset, cfg, profile)
 
 
 def train_allfeatnetinit(dataset: Dataset, cfg: TrainConfig,
                          profile: Profile) -> TrainResult:
-    """All-features-initialized multistage training.
-
-    Phase 1 is plain all-features training. Phase 2 freezes the trunk and
-    fine-tunes each branch independently (starting from its phase-1
-    values) with single-kind batches.
-    """
-    result = train_allfeatnet(dataset, cfg, profile)
-    net, logs = result.net, result.logs
-    checkpoints = {"phase1": net.copy()}
-    set_trainable(net, "trunk", False)
-    for kind in net.kind_names():
-        set_trainable(net, kind, False)
-    for kind in net.kind_names():
-        set_trainable(net, kind, True)
-        net = run_stage(net, dataset, cfg, stage=f"finetune:{kind}",
-                        mask_policy=f"single:{kind}", val_mask=[kind],
-                        shuffle_key=100 + net.kind_by_name(kind).id,
-                        epochs=cfg.epochs, logs=logs)
-        set_trainable(net, kind, False)
-    for group in net.group_ids():
-        set_trainable(net, group, True)
-    return TrainResult(net, logs, checkpoints)
-
-
-REGIMES = ("dedicated", "allfeat", "moddrop", "multistage", "allfeatinit")
-
-
-def train_regime(regime: str, dataset: Dataset, cfg: TrainConfig,
-                 profile: Profile) -> TrainResult:
-    """Dispatch on a regime string: `dedicated:<kind>`, `allfeat`, `moddrop`,
-    `multistage:<seed-kind>`, or `allfeatinit`."""
-    name, _, arg = regime.partition(":")
-    if name == "dedicated":
-        if not arg:
-            raise ValueError("regime 'dedicated' needs a kind, e.g. dedicated:fv")
-        return train_dedicated(arg, dataset, cfg, profile)
-    if name == "allfeat":
-        return train_allfeatnet(dataset, cfg, profile)
-    if name == "moddrop":
-        return train_moddrop(dataset, cfg, profile)
-    if name == "multistage":
-        if not arg:
-            raise ValueError("regime 'multistage' needs a seed kind, e.g. multistage:fv")
-        return train_multistage_seedinit(arg, dataset, cfg, profile)
-    if name == "allfeatinit":
-        return train_allfeatnetinit(dataset, cfg, profile)
-    raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    """All-features-initialized multistage training (checkpoint `phase1`)."""
+    return train_regime("allfeatinit", dataset, cfg, profile)

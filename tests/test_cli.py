@@ -81,6 +81,18 @@ class TestTrain:
                     "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("flag,value", [("--lr", "-1"), ("--batch-size", "0")])
+    def test_invalid_config_usage_error(self, synth_dir, tmp_path, flag, value):
+        assert run(train_args(synth_dir, tmp_path / "m.hnet", extra=(flag, value))) == 2
+
+    def test_diverged_training_runtime_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "m.hnet"
+        with np.errstate(all="ignore"):
+            code = run(train_args(synth_dir, out, "multistage:fv", extra=("--lr", "1e6")))
+        assert code == 4
+        assert "layer parameters must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_bank_is_data_error(self, synth_dir, tmp_path):
         args = train_args(synth_dir, tmp_path / "m.hnet")
         idx = args.index(f"fv={synth_dir / 'fv.fbnk'}")

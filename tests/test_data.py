@@ -123,6 +123,13 @@ class TestFeatureBank:
         with pytest.raises(DataFormatError, match="truncated"):
             bank_from_bytes(data[:-1])
 
+    def test_non_utf8_id_rejected(self):
+        data = bank_to_bytes(FeatureBank("fv", 2, {"a": np.zeros(2, np.float32)}))
+        at = data.index(b"\x01\x00a") + 2
+        data = data[:at] + b"\xff" + data[at + 1:]
+        with pytest.raises(DataFormatError, match="not UTF-8"):
+            bank_from_bytes(data)
+
     def test_duplicate_id_rejected(self):
         bank = FeatureBank("fv", 2, {"a": np.zeros(2, np.float32),
                                      "b": np.ones(2, np.float32)})

@@ -316,6 +316,14 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="truncated"):
             model_from_bytes(data[:-3])
 
+    def test_non_utf8_kind_name(self):
+        data = bytearray(model_to_bytes(desk_net()))
+        name_at = 4 + 2 + 4 + 2  # magic, version, kind count, name length
+        assert data[name_at:name_at + 2] == b"fv"
+        data[name_at] = 0xFF
+        with pytest.raises(ModelFormatError, match="not UTF-8"):
+            model_from_bytes(bytes(data))
+
     def test_trailing_bytes(self):
         data = model_to_bytes(desk_net())
         with pytest.raises(ModelFormatError, match="trailing"):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -400,3 +401,73 @@ class TestLastEpochCheckpoint:
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match="^layer parameters must be finite$"):
             self._stage(monkeypatch, on_batch=poison)
+
+
+def regime_digest(regime, tmp_path, stage_order=None):
+    """sha256 over a trained regime's model bytes, log CSV bytes, every
+    checkpoint's model bytes and the trainable flags of all these nets."""
+    dataset = make_dataset(n_train=240, n_val=80, n_test=40)
+    cfg = TrainConfig(lr=0.05, batch_size=32, epochs=3, seed=6,
+                      momentum=0.9, weight_decay=1e-3)
+    if stage_order:
+        result = train_multistage_seedinit(regime.partition(":")[2], dataset, cfg,
+                                           DESK, stage_order=stage_order)
+    else:
+        result = train_regime(regime, dataset, cfg, DESK)
+    h = hashlib.sha256(model_to_bytes(result.net))
+    h.update(repr(result.net.trainable).encode())
+    write_logs(result.logs, tmp_path / "log.csv")
+    h.update((tmp_path / "log.csv").read_bytes())
+    for name, net in sorted(result.checkpoints.items()):
+        h.update(name.encode())
+        h.update(model_to_bytes(net))
+        h.update(repr(net.trainable).encode())
+    return h.hexdigest()
+
+
+# sha256 of `regime_digest`, taken from the hand-written regime functions
+# that preceded the stage lists; any change to these is a defect
+GOLDEN = {
+    "dedicated:cnn": "2674a2962a69a12a4d99f994003e79deb325b82fef44116d8f3c297807817a8e",
+    "allfeat": "532216bf836bdcbbfb566fa2f8d4a362279bf723878b9ce4c1803b8a4f129afb",
+    "moddrop": "c5513f6f6b44b926dbc5e3d2bceb83cbe9ac469ea423874768a4ffaa78e15730",
+    "multistage:fv": "ad0b3661235e49149b32abfc24b0b375ad4b05003573d468d552e4daa6ac22bd",
+    "allfeatinit": "1b960c5772dbee5495dadf6ad8ada63b1941eab0fbe4bcbe345cf72902803194",
+}
+GOLDEN_LBP_ORDER = "e3e3523ab9badcf70efd4852b536ebd59ccb8a5a227dc02143dadbf353cfc595"
+
+
+class TestGoldenRegimes:
+    @pytest.mark.parametrize("regime", list(GOLDEN))
+    def test_regime_bytes_pinned(self, regime, tmp_path):
+        assert regime_digest(regime, tmp_path) == GOLDEN[regime]
+
+    def test_custom_stage_order_bytes_pinned(self, tmp_path):
+        digest = regime_digest("multistage:lbp", tmp_path, stage_order=["cnn", "fv"])
+        assert digest == GOLDEN_LBP_ORDER
+
+
+class TestScheduleValidation:
+    """Every bad regime argument is rejected before any stage trains."""
+
+    @pytest.mark.parametrize("regime,order", [
+        ("multistage:fv", ["cnn"]),                  # misses lbp
+        ("multistage:fv", ["cnn", "lbp", "lbp"]),    # lbp twice
+        ("multistage:fv", ["cnn", "lbp", "hog"]),    # unknown kind
+        ("multistage:sift", None),                   # unknown seed kind
+        ("dedicated:sift", None),
+        ("dedicated", None),
+        ("multistage", None),
+        ("boost", None),
+    ])
+    def test_rejected_before_run_stage(self, monkeypatch, regime, order):
+        calls = []
+        monkeypatch.setattr(training, "run_stage", lambda *a, **kw: calls.append(a))
+        dataset = make_dataset(n_train=64, n_val=32, n_test=32)
+        with pytest.raises(ValueError):
+            if order is None:
+                train_regime(regime, dataset, QUICK, DESK)
+            else:
+                train_multistage_seedinit(regime.partition(":")[2], dataset, QUICK,
+                                          DESK, stage_order=order)
+        assert calls == []
