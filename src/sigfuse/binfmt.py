@@ -1,0 +1,61 @@
+"""Little-endian binary helpers shared by the FBNK and HNET codecs.
+
+Strings are u16-length-prefixed UTF-8. A reader raises the caller's error
+class, so a bad bank is a `DataFormatError` and a bad model a
+`ModelFormatError`, with the same messages either way.
+"""
+
+from __future__ import annotations
+
+import io
+import struct
+
+
+def write_str(out, s: str):
+    raw = s.encode("utf-8")
+    out.write(struct.pack("<H", len(raw)))
+    out.write(raw)
+
+
+class Reader:
+    """Reads a seekable binary stream front to back; `what` names the file
+    kind in messages ("truncated bank file")."""
+
+    def __init__(self, stream, error: type[Exception], what: str):
+        self.stream, self.error, self.what = stream, error, what
+        pos = stream.tell()
+        self.size = stream.seek(0, io.SEEK_END)
+        stream.seek(pos)
+
+    def truncated(self) -> Exception:
+        return self.error(f"truncated {self.what} file")
+
+    def not_utf8(self, exc: UnicodeDecodeError) -> Exception:
+        return self.error(f"{self.what} string is not UTF-8: {exc}")
+
+    def tell(self) -> int:
+        return self.stream.tell()
+
+    def remaining(self) -> int:
+        return self.size - self.stream.tell()
+
+    def take(self, n: int) -> bytes:
+        data = self.stream.read(n)
+        if len(data) != n:
+            raise self.truncated()
+        return data
+
+    def fill(self, buf):
+        """Fill the writable buffer `buf` (a numpy array, say) completely."""
+        if self.stream.readinto(buf) != memoryview(buf).nbytes:
+            raise self.truncated()
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def read_str(self) -> str:
+        (n,) = self.unpack("<H")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.not_utf8(exc) from None

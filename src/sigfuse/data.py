@@ -13,7 +13,9 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .binfmt import Reader, write_str
 from .nn import make_rng
 
 BANK_MAGIC = b"FBNK"
@@ -158,64 +160,88 @@ class FeatureBank:
         self.entries[img_id] = values
 
 
-def _write_str32(buf, s: str):
-    raw = s.encode("utf-8")
-    buf.write(struct.pack("<H", len(raw)))
-    buf.write(raw)
-
-
-def _read_exact(buf, n: int) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise DataFormatError("truncated bank file")
-    return data
-
-
-def _read_str32(buf) -> str:
-    (n,) = struct.unpack("<H", _read_exact(buf, 2))
-    try:
-        return _read_exact(buf, n).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"bank string is not UTF-8: {exc}") from None
-
-
 def bank_to_bytes(bank: FeatureBank) -> bytes:
-    buf = io.BytesIO()
-    buf.write(BANK_MAGIC)
-    buf.write(struct.pack("<H", BANK_VERSION))
-    _write_str32(buf, bank.kind_name)
-    buf.write(struct.pack("<IQ", bank.dim, len(bank.entries)))
-    for img_id, values in bank.entries.items():
-        _write_str32(buf, img_id)
-        buf.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
-    return buf.getvalue()
+    """Encode an FBNK v1 file: the header, then for each entry its u16 id
+    length, the UTF-8 id and the vector as `dim` little-endian float32s.
+    Lengths, ids and vectors are each placed by one array operation."""
+    head = io.BytesIO()
+    head.write(BANK_MAGIC)
+    head.write(struct.pack("<H", BANK_VERSION))
+    write_str(head, bank.kind_name)
+    count, step = len(bank.entries), 4 * bank.dim
+    head.write(struct.pack("<IQ", bank.dim, count))
+    ids = [img_id.encode("utf-8") for img_id in bank.entries]
+    lens = np.fromiter(map(len, ids), dtype=np.int64, count=count)
+    if count and lens.max() > 0xFFFF:
+        raise ValueError(f"an image id of {lens.max()} UTF-8 bytes exceeds the u16 length")
+    header = head.getvalue()
+    sizes = 2 + lens + step
+    starts = np.cumsum(sizes) - sizes + len(header)
+    out = np.empty(len(header) + int(sizes.sum()), dtype=np.uint8)
+    out[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    out[starts] = lens & 0xFF
+    out[starts + 1] = lens >> 8
+    # byte j of the joined ids lands at its record's id start plus j's
+    # offset into that record's id
+    id_starts = np.cumsum(lens) - lens
+    out[np.arange(int(lens.sum())) + np.repeat(starts + 2 - id_starts, lens)] = \
+        np.frombuffer(b"".join(ids), dtype=np.uint8)
+    if count:
+        vectors = np.concatenate(list(bank.entries.values()), dtype="<f4")
+        sliding_window_view(out, step, writeable=True)[starts + 2 + lens] = \
+            vectors.view(np.uint8).reshape(count, step)
+    return out.tobytes()
 
 
 def bank_from_bytes(data: bytes) -> FeatureBank:
-    buf = io.BytesIO(data)
-    if _read_exact(buf, 4) != BANK_MAGIC:
+    """Parse an FBNK v1 file: one pass over the records reads the id
+    lengths and ids, then one gather lifts every vector into a single
+    (count, dim) float32 matrix whose rows are the entries."""
+    rd = Reader(io.BytesIO(data), DataFormatError, "bank")
+    if rd.take(4) != BANK_MAGIC:
         raise DataFormatError("bad bank magic")
-    (version,) = struct.unpack("<H", _read_exact(buf, 2))
+    (version,) = rd.unpack("<H")
     if version != BANK_VERSION:
         raise DataFormatError(f"unsupported bank version {version}")
-    kind_name = _read_str32(buf)
-    dim, count = struct.unpack("<IQ", _read_exact(buf, 12))
+    kind_name = rd.read_str()
+    dim, count = rd.unpack("<IQ")
     if dim > 1 << 24:
         raise DataFormatError(f"bank dim {dim} exceeds size limit")
     # a record is at least a u16 id length and its vector; check before the loop
-    least, remaining = count * (2 + 4 * dim), len(data) - buf.tell()
+    least, remaining = count * (2 + 4 * dim), rd.remaining()
     if least > remaining:
         raise DataFormatError(f"truncated bank file: a count of {count} records of "
                               f"dim {dim} needs at least {least} bytes, {remaining} remain")
-    entries = {}
-    for _ in range(count):
-        img_id = _read_str32(buf)
-        if img_id in entries:
-            raise DataFormatError(f"duplicate image id {img_id!r} in bank")
-        vals = np.frombuffer(_read_exact(buf, 4 * dim), dtype="<f4")
-        entries[img_id] = vals.copy()
-    if buf.read(1):
+    pos, size, step = rd.tell(), len(data), 4 * dim
+    ids, offsets = [], []
+    add_id, add_offset = ids.append, offsets.append
+    try:
+        for _ in range(count):
+            start = pos + 2
+            end = start + (data[pos] | data[pos + 1] << 8)
+            if end > size:
+                raise rd.truncated()
+            add_id(data[start:end].decode("utf-8"))
+            add_offset(end)
+            pos = end + step
+    except IndexError:
+        raise rd.truncated() from None
+    except UnicodeDecodeError as exc:
+        raise rd.not_utf8(exc) from None
+    if pos > size:
+        raise rd.truncated()
+    if pos < size:
         raise DataFormatError("trailing bytes after bank data")
+    records = np.frombuffer(data, dtype=np.uint8)
+    vectors = (sliding_window_view(records, step)[offsets] if count
+               else np.empty((0, step), dtype=np.uint8)).view("<f4")
+    entries = dict(zip(ids, vectors))
+    if len(entries) != count:
+        seen = set()
+        for img_id in ids:
+            if img_id in seen:
+                raise DataFormatError(f"duplicate image id {img_id!r} in bank")
+            seen.add(img_id)
     return FeatureBank(kind_name, dim, entries)
 
 
@@ -400,14 +426,9 @@ def synth_generate(spec: SyntheticSpec) -> tuple[AttributeTable, dict[str, Featu
 
     ids = [f"synth_{i:06d}" for i in range(n)]
     names = [f"attr_{j:02d}" for j in range(spec.n_attributes)]
-    table = AttributeTable(names, {i: labels[k] for k, i in enumerate(ids)})
-    for k, img_id in enumerate(ids):
-        if k < spec.n_train:
-            table.splits[img_id] = "train"
-        elif k < spec.n_train + spec.n_val:
-            table.splits[img_id] = "val"
-        else:
-            table.splits[img_id] = "test"
+    table = AttributeTable(names, dict(zip(ids, labels)))
+    table.splits.update(zip(ids, ["train"] * spec.n_train + ["val"] * spec.n_val
+                            + ["test"] * spec.n_test))
 
     banks = {}
     for vi, view in enumerate(spec.views):
@@ -416,10 +437,11 @@ def synth_generate(spec: SyntheticSpec) -> tuple[AttributeTable, dict[str, Featu
         obs = z @ mixing
         if view.noise > 0:
             obs = obs + view.noise * make_rng(spec.seed, _TAG_NOISE, vi).standard_normal(obs.shape)
-        bank = FeatureBank(view.name, view.dim, {})
-        for k, img_id in enumerate(ids):
-            bank.add(img_id, obs[k])
-        banks[view.name] = bank
+        obs = obs.astype(np.float32)
+        finite = np.isfinite(obs).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"entry {ids[int(np.argmin(finite))]!r} contains non-finite values")
+        banks[view.name] = FeatureBank(view.name, view.dim, dict(zip(ids, obs)))
     return table, banks
 
 
@@ -448,7 +470,10 @@ class Dataset:
             if missing:
                 raise ValueError(f"bank {kind!r} missing features for {len(missing)} "
                                  f"images (first: {missing[0]!r})")
-        xs = {k: np.stack([self.banks[k].entries[i] for i in ids]).astype(np.float64)
+        n = len(ids)
+        xs = {k: np.concatenate([self.banks[k].entries[i] for i in ids],
+                                dtype=np.float64).reshape(n, self.banks[k].dim)
               for k in kinds}
-        y = np.stack([self.table.rows[i] for i in ids]).astype(np.float64)
+        y = np.concatenate([self.table.rows[i] for i in ids],
+                           dtype=np.float64).reshape(n, self.table.n_attributes)
         return ids, xs, y

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binfmt import Reader, write_str
 from .nn import (DenseLayer, LayerGrad, ShapeError, bce_loss_batch,
                  dense_backward, dense_forward, init_dense, make_rng, relu,
                  sigmoid)
@@ -324,62 +325,44 @@ class ModelFormatError(ValueError):
     """Raised on malformed model files."""
 
 
-def _write_str(buf, s: str):
-    raw = s.encode("utf-8")
-    buf.write(struct.pack("<H", len(raw)))
-    buf.write(raw)
+# f4 <-> f8 conversion goes through one buffer of this many floats per
+# model, so no layer-sized temporary is made in either direction
+_CHUNK = 1 << 16
 
 
-class _Cursor:
-    """Reads a bytes-like object front to back, handing out views, not copies."""
-
-    def __init__(self, data):
-        self.view = memoryview(data)
-        self.pos = 0
-
-    def take(self, n: int) -> memoryview:
-        end = self.pos + n
-        if end > len(self.view):
-            raise ModelFormatError("truncated model file")
-        chunk = self.view[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def at_end(self) -> bool:
-        return self.pos == len(self.view)
-
-
-def _read_str(cur: _Cursor) -> str:
-    (n,) = struct.unpack("<H", cur.take(2))
-    try:
-        return str(cur.take(n), "utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"model string is not UTF-8: {exc}") from None
-
-
-def _write_matrix(buf, m: np.ndarray):
+def _write_matrix(buf, m: np.ndarray, chunk: np.ndarray):
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     buf.write(struct.pack("<II", m.shape[0], m.shape[1]))
-    # the float32 array's own buffer goes to `buf`; no bytes copy is made
-    buf.write(np.ascontiguousarray(m, dtype="<f4"))
+    flat = m.reshape(-1)
+    for start in range(0, flat.size, chunk.size):
+        part = chunk[:flat.size - start]
+        part[...] = flat[start:start + part.size]
+        buf.write(part)
 
 
-def _read_matrix(cur: _Cursor) -> np.ndarray:
-    rows, cols = struct.unpack("<II", cur.take(8))
+def _read_matrix(rd: Reader, chunk: np.ndarray) -> np.ndarray:
+    rows, cols = rd.unpack("<II")
     if rows * cols > 1 << 28:
         raise ModelFormatError(f"matrix {rows}x{cols} exceeds size limit")
-    data = np.frombuffer(cur.take(4 * rows * cols), dtype="<f4")
-    return data.astype(np.float64).reshape(rows, cols)
+    if 4 * rows * cols > rd.remaining():
+        raise rd.truncated()
+    m = np.empty((rows, cols))
+    flat = m.reshape(-1)
+    for start in range(0, flat.size, chunk.size):
+        part = chunk[:flat.size - start]
+        rd.fill(part)
+        flat[start:start + part.size] = part
+    return m
 
 
-def _write_layer(buf, layer: DenseLayer):
-    _write_matrix(buf, layer.weights)
-    _write_matrix(buf, layer.bias)
+def _write_layer(buf, layer: DenseLayer, chunk: np.ndarray):
+    _write_matrix(buf, layer.weights, chunk)
+    _write_matrix(buf, layer.bias, chunk)
 
 
-def _read_layer(cur: _Cursor) -> DenseLayer:
-    w = _read_matrix(cur)
-    b = _read_matrix(cur)
+def _read_layer(rd: Reader, chunk: np.ndarray) -> DenseLayer:
+    w = _read_matrix(rd, chunk)
+    b = _read_matrix(rd, chunk)
     if b.shape[0] != 1:
         raise ModelFormatError("bias must be a single row")
     return DenseLayer(w, b[0])
@@ -391,11 +374,35 @@ def _write_model(buf, net: HybridNet):
     buf.write(struct.pack("<H", MODEL_VERSION))
     buf.write(struct.pack("<I", len(net.kinds)))
     for k in net.kinds:
-        _write_str(buf, k.name)
+        write_str(buf, k.name)
         buf.write(struct.pack("<I", k.input_dim))
+    chunk = np.empty(_CHUNK, dtype="<f4")
     for group in net.group_ids():
         for layer in net.group_layers(group):
-            _write_layer(buf, layer)
+            _write_layer(buf, layer, chunk)
+
+
+def _read_model(stream) -> HybridNet:
+    """Read one HNET model from a seekable binary stream that holds it to
+    the end: a `BytesIO` or an open file."""
+    rd = Reader(stream, ModelFormatError, "model")
+    if rd.take(4) != MODEL_MAGIC:
+        raise ModelFormatError("bad model magic")
+    (version,) = rd.unpack("<H")
+    if version != MODEL_VERSION:
+        raise ModelFormatError(f"unsupported model version {version}")
+    (n_kinds,) = rd.unpack("<I")
+    kinds = []
+    for i in range(n_kinds):
+        name = rd.read_str()
+        (dim,) = rd.unpack("<I")
+        kinds.append(FeatureKind(i, name, dim))
+    chunk = np.empty(_CHUNK, dtype="<f4")
+    branches = [BranchParams(_read_layer(rd, chunk), _read_layer(rd, chunk)) for _ in kinds]
+    trunk = TrunkParams(*(_read_layer(rd, chunk) for _ in range(3)))
+    if rd.remaining():
+        raise ModelFormatError("trailing bytes after model data")
+    return HybridNet(kinds, branches, trunk)
 
 
 def model_to_bytes(net: HybridNet) -> bytes:
@@ -407,29 +414,14 @@ def model_to_bytes(net: HybridNet) -> bytes:
 def group_bytes(net: HybridNet, group: str) -> bytes:
     """Serialized float32 bytes of one parameter group, for byte comparison."""
     buf = io.BytesIO()
+    chunk = np.empty(_CHUNK, dtype="<f4")
     for layer in net.group_layers(group):
-        _write_layer(buf, layer)
+        _write_layer(buf, layer, chunk)
     return buf.getvalue()
 
 
 def model_from_bytes(data: bytes) -> HybridNet:
-    cur = _Cursor(data)
-    if cur.take(4) != MODEL_MAGIC:
-        raise ModelFormatError("bad model magic")
-    (version,) = struct.unpack("<H", cur.take(2))
-    if version != MODEL_VERSION:
-        raise ModelFormatError(f"unsupported model version {version}")
-    (n_kinds,) = struct.unpack("<I", cur.take(4))
-    kinds = []
-    for i in range(n_kinds):
-        name = _read_str(cur)
-        (dim,) = struct.unpack("<I", cur.take(4))
-        kinds.append(FeatureKind(i, name, dim))
-    branches = [BranchParams(_read_layer(cur), _read_layer(cur)) for _ in kinds]
-    trunk = TrunkParams(_read_layer(cur), _read_layer(cur), _read_layer(cur))
-    if not cur.at_end():
-        raise ModelFormatError("trailing bytes after model data")
-    return HybridNet(kinds, branches, trunk)
+    return _read_model(io.BytesIO(data))
 
 
 def save_model(net: HybridNet, path):
@@ -439,5 +431,7 @@ def save_model(net: HybridNet, path):
 
 
 def load_model(path) -> HybridNet:
+    """Read an HNET file matrix by matrix, never holding the whole file
+    (a pipe, which cannot tell its size, is read whole first)."""
     with open(path, "rb") as fh:
-        return model_from_bytes(fh.read())
+        return _read_model(fh if fh.seekable() else io.BytesIO(fh.read()))

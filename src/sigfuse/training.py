@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +39,13 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.lr < 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("lr must be >= 0, batch size and epochs >= 1")
-        if self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("momentum and weight decay must be >= 0")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ValueError("batch size and epochs must be >= 1")
+        for name in ("lr", "momentum", "weight_decay"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so `value < 0` alone would let it through
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,7 @@ def regime_schedule(regime: str, kinds: list[str], stage_order=None) -> list[Sta
     `multistage:<seed-kind>` or `allfeatinit` over `kinds` (in kind-id
     order); `stage_order` orders multistage's later stages. Every bad
     argument raises here, before anything trains."""
-    name, _, arg = regime.partition(":")
+    name, colon, arg = regime.partition(":")
     if name not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if name in ("dedicated", "multistage"):
@@ -197,6 +201,8 @@ def regime_schedule(regime: str, kinds: list[str], stage_order=None) -> list[Sta
             raise ValueError(f"regime {name!r} needs a {what}, e.g. {name}:fv")
         if arg not in kinds:
             raise ValueError(f"dataset has no bank for {what} {arg!r}")
+    elif colon:
+        raise ValueError(f"regime {name!r} takes no kind, got {regime!r}")
     every = (*kinds, "trunk")
     if name == "dedicated":
         return [StageSchedule(f"dedicated:{arg}", (arg, "trunk"), f"single:{arg}")]
@@ -208,9 +214,10 @@ def regime_schedule(regime: str, kinds: list[str], stage_order=None) -> list[Sta
         # the seed branch and the trunk first; then, trunk frozen, each
         # remaining branch from its fresh seeded initialization, so stage
         # order cannot influence any branch's final parameters
-        remaining = [k for k in (stage_order or kinds) if k != arg]
+        remaining = list(stage_order) if stage_order else [k for k in kinds if k != arg]
         if sorted(remaining) != sorted(k for k in kinds if k != arg):
-            raise ValueError("stage_order must cover every non-seed kind exactly once")
+            raise ValueError("stage_order must list every non-seed kind exactly once, "
+                             f"and not the seed kind {arg!r}")
         return [StageSchedule(f"stage1:{arg}", (arg, "trunk"), f"single:{arg}",
                               kinds.index(arg), checkpoint="stage1")] + [
             StageSchedule(f"stage:{k}", (k,), f"single:{k}", kinds.index(k))

@@ -213,3 +213,17 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("flag", ["--lr", "--momentum", "--weight-decay"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_usage_error_before_training(self, synth_dir, tmp_path, monkeypatch, capsys,
+                                         flag, value):
+        import sigfuse.cli as cli
+        monkeypatch.setattr(cli, "run_schedule",
+                            lambda *a, **kw: pytest.fail("training started"))
+        out = tmp_path / "m.hnet"
+        assert run(train_args(synth_dir, out, "allfeat", extra=(flag, value))) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()

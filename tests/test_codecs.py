@@ -1,0 +1,186 @@
+"""FBNK and HNET codecs against per-record reference codecs, and every
+way a cut or inflated file must fail."""
+
+import os
+import struct
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sigfuse.data import (DataFormatError, FeatureBank, bank_from_bytes,
+                          bank_to_bytes, load_bank)
+from sigfuse.model import (PROFILES, ModelFormatError, build_net, load_model,
+                           model_from_bytes, model_to_bytes)
+from sigfuse.nn import make_rng
+
+
+def ref_bank_to_bytes(bank):
+    """FBNK v1, one record at a time: u16 id length, UTF-8 id, dim x f32 LE."""
+    name = bank.kind_name.encode("utf-8")
+    out = [b"FBNK", struct.pack("<H", 1), struct.pack("<H", len(name)), name,
+           struct.pack("<IQ", bank.dim, len(bank.entries))]
+    for img_id, vec in bank.entries.items():
+        raw = img_id.encode("utf-8")
+        out += [struct.pack("<H", len(raw)), raw,
+                np.asarray(vec, dtype="<f4").tobytes()]
+    return b"".join(out)
+
+
+def ref_bank_from_bytes(data):
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        assert pos + n <= len(data)
+        pos += n
+        return data[pos - n:pos]
+
+    assert take(4) == b"FBNK" and struct.unpack("<H", take(2)) == (1,)
+    kind = take(struct.unpack("<H", take(2))[0]).decode("utf-8")
+    dim, count = struct.unpack("<IQ", take(12))
+    entries = {}
+    for _ in range(count):
+        img_id = take(struct.unpack("<H", take(2))[0]).decode("utf-8")
+        entries[img_id] = np.frombuffer(take(4 * dim), dtype="<f4").copy()
+    assert pos == len(data)
+    return FeatureBank(kind, dim, entries)
+
+
+def vectors(dim, n, seed=0):
+    return list(make_rng(seed, 5).standard_normal((n, dim)).astype(np.float32))
+
+
+BANKS = {
+    "empty": FeatureBank("fv", 8, {}),
+    "mixed-length ids": FeatureBank("cnn", 3, dict(zip(
+        ["a", "bb" * 10, "c" * 301, "d_0001"], vectors(3, 4)))),
+    "non-ASCII ids": FeatureBank("lbp_é", 2, dict(zip(
+        ["visage_é", "顔_001", "\U0001f600", "ß"], vectors(2, 4, seed=1)))),
+    "empty id": FeatureBank("fv", 4, dict(zip(["", "x"], vectors(4, 2, seed=2)))),
+    "65535-byte id": FeatureBank("fv", 2, dict(zip(
+        ["y" * 65535, "z", "é" * 32767 + "w"], vectors(2, 3, seed=3)))),
+    "dim 1": FeatureBank("one", 1, dict(zip(
+        [f"img_{i}" for i in range(50)], vectors(1, 50, seed=4)))),
+}
+
+
+def assert_same_bank(a, b):
+    assert (a.kind_name, a.dim) == (b.kind_name, b.dim)
+    assert list(a.entries) == list(b.entries)
+    for img_id, vec in a.entries.items():
+        other = b.entries[img_id]
+        assert other.dtype == vec.dtype and other.shape == vec.shape == (a.dim,)
+        assert other.tobytes() == vec.tobytes()
+
+
+class TestFbnkAgainstReference:
+    @pytest.mark.parametrize("case", list(BANKS))
+    def test_bytes_and_arrays_match(self, case):
+        bank = BANKS[case]
+        data = bank_to_bytes(bank)
+        assert data == ref_bank_to_bytes(bank)
+        assert_same_bank(ref_bank_from_bytes(data), bank_from_bytes(data))
+
+    @given(st.lists(st.text(max_size=12), max_size=20, unique=True), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_banks_match(self, ids, dim):
+        bank = FeatureBank("k", dim, dict(zip(ids, vectors(dim, len(ids)))))
+        data = bank_to_bytes(bank)
+        assert data == ref_bank_to_bytes(bank)
+        assert_same_bank(ref_bank_from_bytes(data), bank_from_bytes(data))
+
+    def test_id_longer_than_u16_refused(self):
+        bank = FeatureBank("fv", 1, {"y" * 65536: np.zeros(1, np.float32)})
+        with pytest.raises(ValueError, match="65536"):
+            bank_to_bytes(bank)
+
+
+def small_bank():
+    return FeatureBank("fv", 3, dict(zip(["a", "bb", "", "é"], vectors(3, 4))))
+
+
+def desk_hnet():
+    """The smallest desk-profile net, 18 kB: every cut of it is tried."""
+    return model_to_bytes(build_net([("fv", 1)], PROFILES["desk"], seed=1))
+
+
+class TestCutFiles:
+    """A file cut at any byte offset is a named format error, never a
+    numpy or struct error and never a smaller bank or net."""
+
+    @staticmethod
+    def assert_every_cut_fails(data, from_bytes, load, error, path):
+        path.write_bytes(data)
+        # shrink one file from the end rather than write one per offset
+        for cut in reversed(range(len(data))):
+            os.truncate(path, cut)
+            with pytest.raises(error):
+                from_bytes(data[:cut])
+            with pytest.raises(error):
+                load(path)
+
+    def test_fbnk_cut_everywhere(self, tmp_path):
+        self.assert_every_cut_fails(bank_to_bytes(small_bank()), bank_from_bytes, load_bank,
+                                    DataFormatError, tmp_path / "cut.fbnk")
+
+    def test_hnet_cut_everywhere(self, tmp_path):
+        self.assert_every_cut_fails(desk_hnet(), model_from_bytes, load_model,
+                                    ModelFormatError, tmp_path / "cut.hnet")
+
+
+def first_matrix_at(data):
+    """Offset of the first matrix's u32 row count in an HNET file."""
+    (n_kinds,) = struct.unpack_from("<I", data, 6)
+    pos = 10
+    for _ in range(n_kinds):
+        (n,) = struct.unpack_from("<H", data, pos)
+        pos += 2 + n + 4
+    return pos
+
+
+class TestHnetGuards:
+    def test_huge_matrix_header_fails_before_allocating(self, tmp_path):
+        data = bytearray(desk_hnet())
+        struct.pack_into("<II", data, first_matrix_at(data), 16384, 16384)
+        path = tmp_path / "huge.hnet"
+        path.write_bytes(data)
+        for load in (lambda: model_from_bytes(bytes(data)), lambda: load_model(path)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ModelFormatError, match="truncated"):
+                    load()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 24  # the matrix would be 2 GiB of float64
+
+    def test_non_finite_weight_raises_at_load(self, tmp_path):
+        data = bytearray(desk_hnet())
+        at = first_matrix_at(data) + 8 + 4 * 5  # the sixth weight of the first layer
+        data[at:at + 4] = np.float32(np.nan).tobytes()
+        path = tmp_path / "nan.hnet"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="must be finite"):
+            model_from_bytes(bytes(data))
+        with pytest.raises(ValueError, match="must be finite"):
+            load_model(path)
+
+    def test_first_matrix_offset(self):
+        data = desk_hnet()
+        assert struct.unpack_from("<II", data, first_matrix_at(data)) == (1, 64)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_still_loads(self, tmp_path):
+        data = desk_hnet()
+        path = tmp_path / "pipe.hnet"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,))
+        writer.start()
+        try:
+            assert model_to_bytes(load_model(path)) == data
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()

@@ -471,3 +471,26 @@ class TestScheduleValidation:
                 train_multistage_seedinit(regime.partition(":")[2], dataset, QUICK,
                                           DESK, stage_order=order)
         assert calls == []
+
+
+class TestRegimeArguments:
+    """A regime argument that would be ignored is rejected before training."""
+
+    @pytest.mark.parametrize("regime,order", [
+        ("allfeat:fv", None),
+        ("moddrop:cnn", None),
+        ("allfeatinit:lbp", None),
+        ("allfeat:", None),
+        ("multistage:fv", ["fv", "cnn", "lbp"]),   # names the seed kind
+        ("multistage:cnn", ["lbp", "fv", "cnn"]),
+    ])
+    def test_rejected_before_run_stage(self, monkeypatch, regime, order):
+        TestScheduleValidation().test_rejected_before_run_stage(monkeypatch, regime, order)
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("field", ["lr", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-9])
+    def test_non_finite_or_negative_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
