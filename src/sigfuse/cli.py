@@ -28,7 +28,7 @@ from .data import (DataFormatError, Dataset, SyntheticSpec, ViewSpec,
                    parse_attr_file, parse_split_file, save_bank)
 from .evaluate import combination_sweep, report_emit
 from .model import PROFILES, ModelFormatError, load_model, save_model
-from .protocol import ProtocolError, SignatureServer, client_query
+from .protocol import ProtocolError, client_query, serve
 from .training import TrainConfig, regime_schedule, run_schedule, write_logs
 
 EXIT_OK = 0
@@ -252,12 +252,22 @@ def cmd_synth(args) -> int:
 # serve / query
 # ---------------------------------------------------------------------------
 
+def _parse_port(text: str, source: str, lowest: int) -> int:
+    """`text` as a TCP port in lowest..65535, else a usage error naming `source`."""
+    if not (text.isascii() and text.isdigit() and lowest <= int(text) <= 0xFFFF):
+        raise UsageError(f"{source}: expected a port in {lowest}..65535, got {text!r}")
+    return int(text)
+
+
 def cmd_serve(args) -> int:
     model = args.model or os.environ.get("SIGFUSE_MODEL")
     if not model:
         raise UsageError("provide --model or set SIGFUSE_MODEL")
-    port = args.port if args.port is not None else int(os.environ.get("SIGFUSE_PORT", "0"))
-    server = SignatureServer(load_model(model), args.host, port)
+    if args.port is not None:
+        port = _parse_port(args.port, "--port", 0)
+    else:
+        port = _parse_port(os.environ.get("SIGFUSE_PORT") or "0", "SIGFUSE_PORT", 0)
+    server = serve(model, args.host, port)
     host, bound_port = server.endpoint
     print(f"serving {model} on {host}:{bound_port}", flush=True)
     try:
@@ -270,6 +280,10 @@ def cmd_serve(args) -> int:
 
 
 def cmd_query(args) -> int:
+    host, _, port = args.endpoint.rpartition(":")
+    if not host:
+        raise UsageError(f"--endpoint expects host:port, got {args.endpoint!r}")
+    port = _parse_port(port, "--endpoint", 1)
     net = load_model(args.model)
     mask = [k.strip() for k in args.mask.split(",") if k.strip()]
     banks = _parse_banks(args.bank)
@@ -281,12 +295,9 @@ def cmd_query(args) -> int:
         if args.id not in bank.entries:
             raise DataFormatError(f"image {args.id!r} not in bank {kind!r}")
         features[kind] = bank.entries[args.id].astype(np.float64)
-    host, _, port = args.endpoint.rpartition(":")
-    if not host or not port.isdigit():
-        raise UsageError(f"--endpoint expects host:port, got {args.endpoint!r}")
     label = "".join(k.name[0].upper() if k.name in mask else "x" for k in net.kinds)
     print(f"querying {args.endpoint} with mask {label}", file=sys.stderr)
-    scores = client_query(features, mask, net, (host, int(port)))
+    scores = client_query(features, mask, net, (host, port))
     for name, score in zip(range(len(scores)), scores):
         print(f"attr_{name:02d} {score:.6f}")
     return EXIT_OK
@@ -351,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="serve attribute scores for signatures")
     p.add_argument("--model", help="model file (or SIGFUSE_MODEL)")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, help="port (or SIGFUSE_PORT)")
+    p.add_argument("--port", help="port, 0 for any free one (or SIGFUSE_PORT)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("query", help="send one signature to a server")

@@ -365,7 +365,10 @@ def _read_layer(rd: Reader, chunk: np.ndarray) -> DenseLayer:
     b = _read_matrix(rd, chunk)
     if b.shape[0] != 1:
         raise ModelFormatError("bias must be a single row")
-    return DenseLayer(w, b[0])
+    try:
+        return DenseLayer(w, b[0])
+    except ValueError as exc:  # a shape mismatch or a non-finite value
+        raise ModelFormatError(str(exc)) from exc
 
 
 def _write_model(buf, net: HybridNet):

@@ -86,7 +86,9 @@ def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(f"input has {x.shape[-1]} features, layer expects {layer.in_dim}")
-    return x @ layer.weights + layer.bias
+    out = x @ layer.weights
+    out += layer.bias
+    return out
 
 
 def relu(v: np.ndarray) -> np.ndarray:
@@ -100,12 +102,13 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     (0, 1) so outputs are strictly open-interval for every finite input.
     """
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
     pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return np.clip(out, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+    # not exp(-|v|): abs then negate would set the sign bit of a NaN
+    e = np.exp(np.where(pos, -v, v))
+    out = np.where(pos, 1.0, e)
+    e += 1.0
+    out /= e
+    return np.clip(out, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0), out=out)
 
 
 def _bce_terms(pred: np.ndarray, label: np.ndarray) -> np.ndarray:

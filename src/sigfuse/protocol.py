@@ -11,11 +11,14 @@ Statuses: 0 ok, 1 bad frame, 2 dimension mismatch, 3 server error.
 
 from __future__ import annotations
 
+import ctypes
 import socket
 import socketserver
 import struct
+import sys
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -201,8 +204,41 @@ class SignatureServer(socketserver.ThreadingTCPServer):
         return thread
 
 
+def _pin_blas_to_one_thread() -> str:
+    """Run the OpenBLAS that numpy loaded on one thread; return a line
+    naming the library and its thread count, or why it was left alone.
+
+    OpenBLAS splits gemv and gemm over output elements, never over the
+    reduction, so a score has the same bits at any thread count.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
+        try:
+            handle = ctypes.CDLL(str(lib))  # the copy numpy already loaded
+        except OSError as exc:
+            return f"blas: cannot open {lib.name} ({exc}); thread count left as is"
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            setter = getattr(handle, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                getter = getattr(handle, name.replace("_set_", "_get_"))
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return f"blas: {lib.name} threads={getter()}"
+    return f"blas: no OpenBLAS thread setter in {libs}; thread count left as is"
+
+
 def serve(model_path, host: str = "127.0.0.1", port: int = 0) -> SignatureServer:
-    return SignatureServer(load_model(model_path), host, port)
+    """Start a serving process's server: load the model, run BLAS on one
+    thread and bind. Requests already run concurrently, one handler thread
+    each, so a 1-row trunk matvec spread over more BLAS threads only takes
+    cores from the other requests. The BLAS line goes to stderr.
+    `SignatureServer` itself leaves the process's BLAS threads alone.
+    """
+    net = load_model(model_path)
+    print(_pin_blas_to_one_thread(), file=sys.stderr, flush=True)
+    return SignatureServer(net, host, port)
 
 
 def client_query(features: dict, mask, net: HybridNet,

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from sigfuse.cli import main
-from sigfuse.data import load_bank, write_pgm
+from sigfuse.data import FeatureBank, load_bank, save_bank, write_pgm
+from sigfuse.model import PROFILES, build_net, save_model
 from sigfuse.nn import make_rng
 
 
@@ -205,6 +206,37 @@ class TestServeQuery:
 
     def test_serve_requires_model(self):
         assert run(["serve"]) == 2
+
+
+class TestPortArguments:
+    """A port outside 0..65535 (serve) or 1..65535 (query) is a usage
+    error, whether it comes from a flag, the environment or an endpoint."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        path = tmp_path / "m.hnet"
+        save_model(build_net([("fv", 4)], PROFILES["desk"], seed=0), path)
+        return path
+
+    @pytest.mark.parametrize("flag, env", [
+        ("99999", None), ("65536", None), ("-1", None), ("abc", None),
+        (None, "abc"), (None, "99999"), (None, "-5"), (None, "1.5"),
+    ])
+    def test_serve(self, model, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("SIGFUSE_PORT", env)
+        argv = ["serve", "--model", str(model)] + (["--port", flag] if flag else [])
+        assert run(argv) == 2
+        assert "expected a port in 0..65535" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:99999", "127.0.0.1:0",
+                                          "127.0.0.1:abc", "127.0.0.1:", "127.0.0.1:-1"])
+    def test_query_endpoint(self, model, tmp_path, capsys, endpoint):
+        bank = tmp_path / "fv.fbnk"
+        save_bank(FeatureBank("fv", 4, {"a": np.zeros(4, dtype=np.float32)}), bank)
+        assert run(["query", "--model", str(model), "--endpoint", endpoint,
+                    "--mask", "fv", "--bank", f"fv={bank}", "--id", "a"]) == 2
+        assert "expected a port in 1..65535" in capsys.readouterr().err
 
 
 class TestUsage:

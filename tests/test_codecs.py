@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sigfuse.cli import main
 from sigfuse.data import (DataFormatError, FeatureBank, bank_from_bytes,
                           bank_to_bytes, load_bank)
 from sigfuse.model import (PROFILES, ModelFormatError, build_net, load_model,
@@ -167,6 +168,23 @@ class TestHnetGuards:
             model_from_bytes(bytes(data))
         with pytest.raises(ValueError, match="must be finite"):
             load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_a_data_error(self, tmp_path, capsys, value):
+        data = bytearray(desk_hnet())
+        at = first_matrix_at(data) + 8 + 4 * 5
+        data[at:at + 4] = np.float32(value).tobytes()
+        path = tmp_path / "bad.hnet"
+        path.write_bytes(data)
+        with pytest.raises(ModelFormatError, match="must be finite"):
+            model_from_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="must be finite"):
+            load_model(path)
+        # `query` loads the model before it reads anything else
+        assert main(["query", "--model", str(path), "--endpoint", "127.0.0.1:1",
+                     "--mask", "fv", "--bank", f"fv={tmp_path / 'none.fbnk'}",
+                     "--id", "a"]) == 3
+        assert "data error: layer parameters must be finite" in capsys.readouterr().err
 
     def test_first_matrix_offset(self):
         data = desk_hnet()

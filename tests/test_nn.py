@@ -35,6 +35,16 @@ class TestDenseForward:
         np.testing.assert_allclose(dense_forward(np.array([[1.0], [3.0]]), layer),
                                    [[3.0], [7.0]])
 
+    def test_bits_match_matmul_plus_bias(self):
+        rng = make_rng(4)
+        layer = DenseLayer(rng.normal(size=(24, 64)), rng.normal(size=64))
+        for x in (rng.normal(size=(64, 24)), rng.normal(size=24)):
+            expected = x @ layer.weights + layer.bias
+            assert dense_forward(x, layer).tobytes() == expected.tobytes()
+        bias = layer.bias.copy()
+        dense_forward(x, layer)
+        assert layer.bias.tobytes() == bias.tobytes()
+
 
 class TestRelu:
     def test_mixed(self):
@@ -71,6 +81,28 @@ class TestSigmoid:
         out = sigmoid(v)
         assert np.all(out > 0) and np.all(out < 1)
         np.testing.assert_allclose(sigmoid(-v), 1.0 - out, atol=1e-12)
+
+    @staticmethod
+    def masked_reference(v):
+        """The boolean-mask formula sigmoid replaced; it fixes the bits."""
+        v = np.asarray(v, dtype=np.float64)
+        out = np.empty_like(v)
+        pos = v >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+        ev = np.exp(v[~pos])
+        out[~pos] = ev / (1.0 + ev)
+        return np.clip(out, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+
+    def test_bits_match_masked_reference(self):
+        big = np.finfo(np.float64).max
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 745.2, -745.2, 800.0, -800.0,
+                          big, -big, np.nan, -np.nan])
+        v = np.concatenate([edges, make_rng(3).normal(size=100_000) * 30])
+        for x in (v, v.reshape(-1, 4)):
+            out = sigmoid(x)
+            assert out.shape == x.shape
+            # bytes, so a NaN whose sign bit flips is caught too
+            assert out.tobytes() == self.masked_reference(x).tobytes()
 
 
 class TestBceLoss:

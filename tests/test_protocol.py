@@ -1,12 +1,15 @@
+import re
 import socket
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from sigfuse.model import (PROFILES, TrunkParams, build_net, mask_to_bits,
-                           model_to_bytes, net_forward, save_model,
-                           trunk_forward)
+from sigfuse.model import (PROFILES, Profile, TrunkParams, build_net,
+                           load_model, mask_to_bits, model_to_bytes,
+                           net_forward, save_model, trunk_forward)
 from sigfuse.nn import DenseLayer, make_rng
 from sigfuse.protocol import (PROTOCOL_VERSION, STATUS_BAD_FRAME,
                               STATUS_DIM_MISMATCH, STATUS_OK,
@@ -253,3 +256,33 @@ class TestClientQuery:
         with pytest.raises(ProtocolError) as exc:
             client_query(feats, ["fv"], other, server.endpoint)
         assert exc.value.status == STATUS_DIM_MISMATCH
+
+
+class TestServeProcess:
+    def test_one_blas_thread_gives_the_threaded_bytes(self, tmp_path):
+        """`sigfuse serve` runs BLAS on one thread. At a trunk wide enough
+        for OpenBLAS to split a 1-row matvec over threads, every reply still
+        equals the scores this multi-threaded process computes."""
+        path = tmp_path / "wide.hnet"
+        save_model(build_net([("fv", 4)], Profile(16, 1024, 1024, 1024, 40), 6), path)
+        net = load_model(path)  # HNET rounds the weights to f4
+        rng = make_rng(6, 1)
+        frames = [encode_request(rng.normal(size=1024), 1) for _ in range(16)]
+        expected = [encode_response(STATUS_OK, trunk_forward(
+            decode_request(f).values.astype(np.float64), net.trunk)) for f in frames]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sigfuse.cli", "serve", "--model", str(path),
+             "--port", "0"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        watchdog = threading.Timer(30, proc.kill)  # a stalled server ends the reads
+        watchdog.start()
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith(f"serving {path} on "), line
+            host, _, port = line.split()[-1].rpartition(":")
+            replies = [raw_exchange((host, int(port)), f) for f in frames]
+        finally:
+            watchdog.cancel()
+            proc.kill()
+            _, err = proc.communicate(timeout=10)
+        assert replies == expected
+        assert re.search(r"^blas: \S*openblas\S* threads=1$", err, re.M), err
