@@ -88,19 +88,45 @@ def load_dataset(attrs_path, split_path, bank_paths: dict[str, str]) -> Dataset:
 # train
 # ---------------------------------------------------------------------------
 
-def _resolve_train_config(args) -> dict:
+_TRAIN_KEYS = ("regime", "profile", "seed", "lr", "batch_size", "epochs",
+               "momentum", "weight_decay")
+
+
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in `path`; a file that holds anything else is a
+    usage error (a missing file stays a data error)."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise UsageError(f"{what} {path} is not JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise UsageError(f"{what} {path} must hold a JSON object")
+    return obj
+
+
+def _manifest_config(path) -> dict:
+    resolved = _read_json_object(path, "manifest").get("config")
+    if not isinstance(resolved, dict):
+        raise UsageError(f"manifest {path} has no config object")
+    missing = [k for k in _TRAIN_KEYS if k not in resolved]
+    if missing:
+        raise UsageError(f"manifest {path} config lacks " + ", ".join(missing))
+    return resolved
+
+
+def _flag_config(args) -> dict:
     """Precedence: flags > environment > config file > profile defaults."""
-    if args.from_manifest:
-        manifest = json.loads(Path(args.from_manifest).read_text())
-        return manifest["config"]
     resolved = dataclasses.asdict(TrainConfig())
     resolved.update({"regime": None, "profile": "desk", "epochs": 20})
     if args.config:
-        resolved.update(json.loads(Path(args.config).read_text()))
-    if os.environ.get("SIGFUSE_SEED"):
-        resolved["seed"] = int(os.environ["SIGFUSE_SEED"])
-    for key in ("regime", "profile", "seed", "lr", "batch_size", "epochs",
-                "momentum", "weight_decay"):
+        resolved.update(_read_json_object(args.config, "config"))
+    seed = os.environ.get("SIGFUSE_SEED")
+    if seed:
+        try:
+            resolved["seed"] = int(seed)
+        except ValueError:
+            raise UsageError(f"SIGFUSE_SEED: expected an integer, got {seed!r}")
+    for key in _TRAIN_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             resolved[key] = val
@@ -108,6 +134,13 @@ def _resolve_train_config(args) -> dict:
     resolved["split"] = args.split_file or resolved.get("split")
     if args.bank:
         resolved["banks"] = _parse_banks(args.bank)
+    return resolved
+
+
+def _resolve_train_config(args) -> dict:
+    """A replayed manifest's config, else the one the flags resolve to;
+    either way, checked before any data is read."""
+    resolved = _manifest_config(args.from_manifest) if args.from_manifest else _flag_config(args)
     if not resolved.get("regime"):
         raise UsageError("--regime is required")
     if resolved["profile"] not in PROFILES:
@@ -126,7 +159,7 @@ def cmd_train(args) -> int:
                           momentum=cfg_map["momentum"],
                           weight_decay=cfg_map["weight_decay"])
         stages = regime_schedule(cfg_map["regime"], list(dataset.banks))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:  # TypeError: a config value of the wrong type
         raise UsageError(str(exc))
     # a ValueError while training (a diverged net) is a runtime error
     result = run_schedule(stages, dataset, cfg, PROFILES[cfg_map["profile"]])
@@ -178,6 +211,8 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_extract_lbp(args) -> int:
+    if args.cell_size < 1:
+        raise UsageError(f"--cell-size must be positive, got {args.cell_size}")
     image_dir = Path(args.images)
     paths = sorted(image_dir.glob("*.pgm"))
     shape = None
@@ -212,7 +247,11 @@ def _parse_views(specs: list[str]) -> tuple[ViewSpec, ...]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise UsageError(f"--view expects name:dim:noise, got {spec!r}")
-        views.append(ViewSpec(parts[0], int(parts[1]), float(parts[2])))
+        try:
+            views.append(ViewSpec(parts[0], int(parts[1]), float(parts[2])))
+        except ValueError:
+            raise UsageError(f"--view expects name:dim:noise with an integer dim "
+                             f"and a number noise, got {spec!r}")
     return tuple(views)
 
 

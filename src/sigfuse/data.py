@@ -310,24 +310,31 @@ def lbp_extract(img: np.ndarray, cell_size: int) -> np.ndarray:
     if h < cell_size or w < cell_size:
         raise ValueError(f"image {h}x{w} smaller than one {cell_size}-pixel cell")
 
+    # uint8 pixels compare as they are; other dtypes go through int32, and
     # additive shifts that avoid clipping cannot change these comparisons
-    px = img.astype(np.int32)
+    px = img if img.dtype == np.uint8 else img.astype(np.int32)
     center = px[1:-1, 1:-1]
-    codes = np.zeros_like(center)
+    codes = np.zeros(center.shape, dtype=np.uint8)
+    plane = np.empty_like(codes)
     for bit, (dy, dx) in enumerate(_NEIGHBORS):
-        neigh = px[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
-        codes |= (neigh >= center).astype(np.int32) << bit
-    bins = _LBP_TABLE[codes]
+        np.greater_equal(px[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx], center, out=plane)
+        plane <<= bit
+        codes |= plane
+    bins = np.take(_LBP_TABLE, codes)
 
+    # bins[i, j] describes original pixel (i + 1, j + 1); its histogram key
+    # is its bin plus its cell's row and column offsets, and a pixel of a
+    # dropped partial cell gets an offset that puts its key past the end
     rows, cols = h // cell_size, w // cell_size
-    desc = np.zeros((rows, cols, LBP_BINS), dtype=np.float64)
-    # bins[i, j] describes original pixel (i + 1, j + 1)
-    yy, xx = np.indices(bins.shape)
-    cy, cx = (yy + 1) // cell_size, (xx + 1) // cell_size
-    valid = (cy < rows) & (cx < cols)
-    flat_idx = (cy[valid] * cols + cx[valid]) * LBP_BINS + bins[valid]
-    np.add.at(desc.reshape(-1), flat_idx, 1.0)
-    sums = desc.sum(axis=2, keepdims=True)
+    size = rows * cols * LBP_BINS
+    cy = np.arange(1, h - 1) // cell_size
+    cx = np.arange(1, w - 1) // cell_size
+    row_key = np.where(cy < rows, cy * (cols * LBP_BINS), size)
+    col_key = np.where(cx < cols, cx * LBP_BINS, size)
+    keys = bins + row_key[:, None] + col_key
+    desc = np.bincount(keys.reshape(-1), minlength=size)[:size].astype(np.float64)
+    desc = desc.reshape(rows * cols, LBP_BINS)
+    sums = desc.sum(axis=1, keepdims=True)
     np.divide(desc, sums, out=desc, where=sums > 0)
     return desc.reshape(-1)
 
@@ -408,8 +415,8 @@ class SyntheticSpec:
         for v in self.views:
             if v.dim <= 0:
                 raise ValueError(f"view {v.name!r} dim must be positive")
-            if v.noise < 0:
-                raise ValueError(f"view {v.name!r} noise must be >= 0")
+            if not (np.isfinite(v.noise) and v.noise >= 0):
+                raise ValueError(f"view {v.name!r} noise must be finite and >= 0")
 
 
 def synth_generate(spec: SyntheticSpec) -> tuple[AttributeTable, dict[str, FeatureBank]]:
@@ -450,30 +457,66 @@ def synth_generate(spec: SyntheticSpec) -> tuple[AttributeTable, dict[str, Featu
 # ---------------------------------------------------------------------------
 
 @dataclass
+class _StackedSplit:
+    """One split's sorted ids, labels and the feature matrices stacked so
+    far, each with the object it was stacked from."""
+
+    table: AttributeTable
+    ids: tuple[str, ...]
+    y: np.ndarray
+    xs: dict[str, tuple[FeatureBank, np.ndarray]] = field(default_factory=dict)
+
+
+@dataclass
 class Dataset:
+    """An attribute table and one feature bank per kind.
+
+    `arrays` stacks each split once: the first request for a split builds
+    its sorted ids and label matrix, the first request for a kind in it
+    builds that kind's feature matrix, and every later call returns those
+    same read-only float64 arrays. A split is stacked again when
+    `dataset.table` is replaced by another object, and a kind when
+    `dataset.banks[kind]` is; in-place edits to the rows, splits or
+    entries of an already stacked split are not seen.
+    """
+
     table: AttributeTable
     banks: dict[str, FeatureBank]
+    _stacked: dict[str, _StackedSplit] = field(default_factory=dict, init=False,
+                                               repr=False, compare=False)
 
     def kind_dims(self) -> list[tuple[str, int]]:
         return [(name, bank.dim) for name, bank in self.banks.items()]
 
     def arrays(self, split: str, kinds=None) -> tuple[list[str], dict[str, np.ndarray], np.ndarray]:
-        """Dense (ids, {kind: X}, Y) matrices for one split, in sorted id order."""
+        """Dense (ids, {kind: X}, Y) matrices for one split, in sorted id order.
+
+        The matrices are shared and read-only; the dict and id list are
+        fresh on every call."""
         kinds = list(kinds) if kinds is not None else list(self.banks)
-        ids = sorted(self.table.ids_for(split))
-        if not ids:
-            raise ValueError(f"split {split!r} has no examples")
+        stacked = self._stacked.get(split)
+        if stacked is None or stacked.table is not self.table:
+            ids = sorted(self.table.ids_for(split))
+            if not ids:
+                raise ValueError(f"split {split!r} has no examples")
+            y = np.concatenate([self.table.rows[i] for i in ids],
+                               dtype=np.float64).reshape(len(ids), self.table.n_attributes)
+            y.flags.writeable = False
+            stacked = self._stacked[split] = _StackedSplit(self.table, tuple(ids), y)
+        xs = {}
         for kind in kinds:
-            if kind not in self.banks:
+            bank = self.banks.get(kind)
+            if bank is None:
                 raise ValueError(f"no feature bank for kind {kind!r}")
-            missing = [i for i in ids if i not in self.banks[kind].entries]
-            if missing:
-                raise ValueError(f"bank {kind!r} missing features for {len(missing)} "
-                                 f"images (first: {missing[0]!r})")
-        n = len(ids)
-        xs = {k: np.concatenate([self.banks[k].entries[i] for i in ids],
-                                dtype=np.float64).reshape(n, self.banks[k].dim)
-              for k in kinds}
-        y = np.concatenate([self.table.rows[i] for i in ids],
-                           dtype=np.float64).reshape(n, self.table.n_attributes)
-        return ids, xs, y
+            source, x = stacked.xs.get(kind, (None, None))
+            if source is not bank:
+                missing = [i for i in stacked.ids if i not in bank.entries]
+                if missing:
+                    raise ValueError(f"bank {kind!r} missing features for {len(missing)} "
+                                     f"images (first: {missing[0]!r})")
+                x = np.concatenate([bank.entries[i] for i in stacked.ids],
+                                   dtype=np.float64).reshape(len(stacked.ids), bank.dim)
+                x.flags.writeable = False
+                stacked.xs[kind] = (bank, x)
+            xs[kind] = x
+        return list(stacked.ids), xs, stacked.y

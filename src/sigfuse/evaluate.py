@@ -1,9 +1,9 @@
 """Average precision, per-mask evaluation and the feature-combination sweep.
 
-The sweep stacks the split once and runs each branch over it once; every
-mask is then scored by merging the cached branch outputs into its
-signature and running the trunk, as the client does before it sends a
-frame.
+The sweep asks the dataset for the split once and runs each branch over
+it once; every mask is then scored by merging the cached branch outputs
+into its signature and running the trunk, as the client does before it
+sends a frame.
 
 AP uses the interpolation-free discrete estimator: mean precision at the
 ranks of the positives after a stable descending sort (ties broken by
@@ -96,8 +96,7 @@ def combination_sweep(net: HybridNet, dataset: Dataset, split: str) -> EvalRepor
     """
     kinds = net.kind_names()
     _, xs, y = dataset.arrays(split, kinds=kinds)
-    # pop each input matrix so it is freed once its branch has encoded it
-    encoded = {k: branch_forward(xs.pop(k), net.branch_for(k)) for k in kinds}
+    encoded = {k: branch_forward(xs[k], net.branch_for(k)) for k in kinds}
     masks, per_attr, means = [], [], []
     for bits in range(1, 1 << len(kinds)):
         mask = tuple(k for i, k in enumerate(kinds) if bits & (1 << i))

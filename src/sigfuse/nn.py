@@ -16,6 +16,10 @@ import numpy as np
 # avoid log(0).
 BCE_EPS = 1e-7
 
+# sigmoid outputs are clamped to the open interval (0, 1)
+_SIGMOID_LOW = np.finfo(np.float64).tiny
+_SIGMOID_HIGH = np.nextafter(1.0, 0.0)
+
 
 class ShapeError(ValueError):
     """Raised when array dimensions do not match a layer's declaration."""
@@ -108,7 +112,8 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     out = np.where(pos, 1.0, e)
     e += 1.0
     out /= e
-    return np.clip(out, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0), out=out)
+    np.maximum(out, _SIGMOID_LOW, out=out)
+    return np.minimum(out, _SIGMOID_HIGH, out=out)
 
 
 def _bce_terms(pred: np.ndarray, label: np.ndarray) -> np.ndarray:
@@ -117,7 +122,7 @@ def _bce_terms(pred: np.ndarray, label: np.ndarray) -> np.ndarray:
     label = np.asarray(label, dtype=np.float64)
     if pred.shape != label.shape:
         raise ShapeError(f"pred shape {pred.shape} != label shape {label.shape}")
-    p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
+    p = np.minimum(np.maximum(pred, BCE_EPS), 1.0 - BCE_EPS)
     return label * np.log(p) + (1.0 - label) * np.log(1.0 - p)
 
 
@@ -127,8 +132,12 @@ def bce_loss(pred: np.ndarray, label: np.ndarray) -> float:
 
 
 def bce_loss_batch(pred: np.ndarray, label: np.ndarray) -> float:
-    """Mean over examples of the per-example summed BCE. pred, label: (n, L)."""
-    return float(np.mean(-np.sum(_bce_terms(pred, label), axis=-1)))
+    """Mean over examples of the per-example summed BCE. pred, label: (n, L).
+
+    The ufunc reductions of `np.mean(-np.sum(terms, axis=-1))`, without
+    NumPy's wrappers; a 1-D input is one example."""
+    per_example = -np.add.reduce(_bce_terms(pred, label), axis=-1)
+    return float(np.add.reduce(per_example, axis=None) / per_example.size)
 
 
 def dense_backward(x: np.ndarray, layer: DenseLayer, upstream: np.ndarray, *,
@@ -155,7 +164,7 @@ def dense_backward(x: np.ndarray, layer: DenseLayer, upstream: np.ndarray, *,
     if params and x.ndim == 1:
         grad = LayerGrad(np.outer(x, upstream), upstream.copy())
     elif params:
-        grad = LayerGrad(x.T @ upstream, upstream.sum(axis=0))
+        grad = LayerGrad(x.T @ upstream, np.add.reduce(upstream, axis=0))
     if inputs:
         downstream = upstream @ layer.weights.T
     return grad, downstream

@@ -259,3 +259,79 @@ class TestNonFiniteConfig:
         assert run(train_args(synth_dir, out, "allfeat", extra=(flag, value))) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestExitClasses:
+    """Bad arguments and argument files are usage errors (exit 2), found
+    before any data is read or anything trains."""
+
+    def test_non_integer_seed_env(self, synth_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SIGFUSE_SEED", "abc")
+        args = train_args(synth_dir, tmp_path / "m.hnet")
+        del args[args.index("--seed"):args.index("--seed") + 2]
+        assert run(args) == 2
+        assert "SIGFUSE_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("view", ["fv:abc:0.1", "fv:10:abc", "fv:1.5:0.1",
+                                      "fv:10:nan", "fv:10:inf"])
+    def test_non_numeric_view(self, tmp_path, capsys, view):
+        assert run(["synth", "--out-dir", str(tmp_path / "x"), "--view", view]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("images", [0, 1])
+    @pytest.mark.parametrize("cell", ["0", "-3"])
+    def test_non_positive_cell_size(self, tmp_path, monkeypatch, capsys, images, cell):
+        import sigfuse.cli as cli
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        for i in range(images):
+            write_pgm(img_dir / f"face_{i}.pgm", np.zeros((20, 20), dtype=np.uint8))
+        monkeypatch.setattr(cli.data_mod, "read_pgm",
+                            lambda path: pytest.fail("an image was read"))
+        out = tmp_path / "x.fbnk"
+        assert run(["extract-lbp", "--images", str(img_dir), "--cell-size", cell,
+                    "--out", str(out)]) == 2
+        assert "--cell-size" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff"])
+    def test_config_that_is_not_a_json_object(self, synth_dir, tmp_path, text):
+        config = tmp_path / "c.json"
+        config.write_bytes(text.encode("latin-1"))
+        assert run(train_args(synth_dir, tmp_path / "m.hnet",
+                              extra=("--config", str(config)))) == 2
+
+    def test_config_value_of_wrong_type(self, synth_dir, tmp_path, monkeypatch):
+        import sigfuse.cli as cli
+        monkeypatch.setattr(cli, "run_schedule",
+                            lambda *a, **kw: pytest.fail("training started"))
+        config = tmp_path / "c.json"
+        config.write_text('{"momentum": "high"}')
+        assert run(train_args(synth_dir, tmp_path / "m.hnet",
+                              extra=("--config", str(config)))) == 2
+
+    @pytest.fixture
+    def manifest(self, synth_dir, tmp_path):
+        out = tmp_path / "m.hnet"
+        assert run(train_args(synth_dir, out, extra=("--epochs", "1"))) == 0
+        return json.loads(out.with_suffix(".hnet.manifest.json").read_text())
+
+    @pytest.mark.parametrize("drop", ["config", "attrs", "banks", "lr", "regime", "profile"])
+    def test_manifest_lacking_a_field(self, manifest, tmp_path, capsys, drop):
+        if drop == "config":
+            del manifest["config"]
+        else:
+            del manifest["config"][drop]
+        path = tmp_path / "bad.manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "replay.hnet"
+        assert run(["train", "--from-manifest", str(path), "--out", str(out)]) == 2
+        assert drop in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_that_is_not_json(self, tmp_path):
+        path = tmp_path / "bad.manifest.json"
+        path.write_text("not json")
+        assert run(["train", "--from-manifest", str(path),
+                    "--out", str(tmp_path / "m.hnet")]) == 2

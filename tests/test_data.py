@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigfuse.data import (LBP_BINS, AttributeTable, DataFormatError,
-                          Dataset, FeatureBank, SyntheticSpec, ViewSpec,
-                          bank_from_bytes, bank_to_bytes, format_attr_file,
+from sigfuse.data import (_LBP_TABLE, _NEIGHBORS, LBP_BINS, AttributeTable,
+                          DataFormatError, Dataset, FeatureBank, SyntheticSpec,
+                          ViewSpec, bank_from_bytes, bank_to_bytes, format_attr_file,
                           format_split_file, lbp_dim, lbp_extract, load_bank,
                           parse_attr_file, parse_split_file, read_pgm,
                           rgb_to_gray, save_bank, split_dataset,
                           synth_generate, write_pgm)
-from sigfuse.evaluate import average_precision
+from sigfuse.evaluate import average_precision, combination_sweep
+from sigfuse.model import PROFILES
 from sigfuse.nn import make_rng
+from sigfuse.training import TrainConfig, train_regime
 
 # the 40 attribute names of the public face-attribute list convention
 CELEBA_NAMES = (
@@ -197,6 +199,63 @@ class TestLbpExtract:
         np.testing.assert_array_equal(lbp_extract(rgb, 10),
                                       lbp_extract(rgb_to_gray(rgb), 10))
 
+    @staticmethod
+    def add_at_reference(img, cell_size):
+        """The int32-code, `np.add.at` extractor lbp_extract replaced; it
+        fixes the bytes."""
+        img = np.asarray(img)
+        if img.ndim == 3:
+            img = rgb_to_gray(img)
+        h, w = img.shape
+        px = img.astype(np.int32)
+        center = px[1:-1, 1:-1]
+        codes = np.zeros_like(center)
+        for bit, (dy, dx) in enumerate(_NEIGHBORS):
+            neigh = px[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
+            codes |= (neigh >= center).astype(np.int32) << bit
+        bins = _LBP_TABLE[codes]
+        rows, cols = h // cell_size, w // cell_size
+        desc = np.zeros((rows, cols, LBP_BINS), dtype=np.float64)
+        yy, xx = np.indices(bins.shape)
+        cy, cx = (yy + 1) // cell_size, (xx + 1) // cell_size
+        valid = (cy < rows) & (cx < cols)
+        flat_idx = (cy[valid] * cols + cx[valid]) * LBP_BINS + bins[valid]
+        np.add.at(desc.reshape(-1), flat_idx, 1.0)
+        sums = desc.sum(axis=2, keepdims=True)
+        np.divide(desc, sums, out=desc, where=sums > 0)
+        return desc.reshape(-1)
+
+    @staticmethod
+    def image(rng, case, h, w):
+        if case == "uint8":
+            return rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+        if case == "ties":  # few levels, so many neighbors equal their center
+            return rng.integers(0, 3, size=(h, w)).astype(np.uint8)
+        if case == "float":  # int32 truncation changes these comparisons
+            return rng.normal(size=(h, w)) * 3
+        if case == "int64":
+            return rng.integers(-1000, 1000, size=(h, w))
+        return rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+
+    @pytest.mark.parametrize("case", ["uint8", "ties", "float", "int64", "rgb"])
+    def test_bytes_match_add_at_reference(self, case):
+        rng = make_rng(6)
+        for _ in range(40):
+            h, w = (int(v) for v in rng.integers(3, 60, size=2))
+            c = int(rng.integers(1, min(h, w) + 1))
+            img = self.image(rng, case, h, w)
+            assert lbp_extract(img, c).tobytes() == self.add_at_reference(img, c).tobytes()
+
+    def test_tiny_images_match_add_at_reference(self):
+        rng = make_rng(7)
+        for h in range(1, 8):
+            for w in range(1, 8):
+                for c in range(1, min(h, w) + 1):
+                    for case in ("uint8", "ties", "float"):
+                        img = self.image(rng, case, h, w)
+                        assert (lbp_extract(img, c).tobytes()
+                                == self.add_at_reference(img, c).tobytes())
+
 
 class TestPgm:
     def test_roundtrip(self, tmp_path):
@@ -277,3 +336,107 @@ class TestDatasetArrays:
         table, banks = synth_generate(small_spec(n_train=10, n_val=2, n_test=2))
         with pytest.raises(ValueError, match="no feature bank"):
             Dataset(table, banks).arrays("train", kinds=["zz"])
+
+
+def stack_reference(dataset, split, kinds):
+    """The per-call stacking `arrays` replaced; it fixes the bytes."""
+    ids = sorted(i for i in dataset.table.rows if dataset.table.splits.get(i) == split)
+    xs = {k: np.concatenate([dataset.banks[k].entries[i] for i in ids],
+                            dtype=np.float64).reshape(len(ids), dataset.banks[k].dim)
+          for k in kinds}
+    y = np.concatenate([dataset.table.rows[i] for i in ids],
+                       dtype=np.float64).reshape(len(ids), dataset.table.n_attributes)
+    return ids, xs, y
+
+
+def small_dataset(**kw):
+    return Dataset(*synth_generate(small_spec(n_train=40, n_val=12, n_test=16, **kw)))
+
+
+class TestDatasetSplitCache:
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    @pytest.mark.parametrize("kinds", [None, ["a"], ["b"], ["b", "a"]])
+    def test_bytes_match_reference(self, split, kinds):
+        dataset = small_dataset()
+        want_ids, want_xs, want_y = stack_reference(dataset, split, kinds or ["a", "b"])
+        for _ in range(2):  # the stacking call, then a lookup
+            ids, xs, y = dataset.arrays(split, kinds=kinds)
+            assert ids == want_ids
+            assert list(xs) == list(want_xs)
+            for k, x in xs.items():
+                assert x.dtype == np.float64 and x.tobytes() == want_xs[k].tobytes()
+            assert y.dtype == np.float64 and y.tobytes() == want_y.tobytes()
+
+    def test_second_call_shares_read_only_matrices(self):
+        dataset = small_dataset()
+        ids, xs, y = dataset.arrays("train")
+        ids2, xs2, y2 = dataset.arrays("train", kinds=["b"])
+        assert xs2["b"] is xs["b"] and y2 is y
+        assert ids2 == ids and ids2 is not ids and xs2 is not xs
+        ids2.append("extra")
+        assert "extra" not in dataset.arrays("train")[0]
+        for matrix in (xs["a"], xs["b"], y):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+
+    def test_replaced_bank_is_restacked(self):
+        dataset = small_dataset()
+        _, xs, _ = dataset.arrays("test")
+        old = dataset.banks["a"]
+        dataset.banks["a"] = FeatureBank("a", old.dim,
+                                         {i: v * 2 for i, v in old.entries.items()})
+        _, xs2, _ = dataset.arrays("test")
+        assert xs2["a"] is not xs["a"]
+        assert np.array_equal(xs2["a"], xs["a"] * 2)
+        assert xs2["b"] is xs["b"]
+
+    def test_replaced_table_is_restacked(self):
+        dataset = small_dataset()
+        ids, xs, y = dataset.arrays("val")
+        table = dataset.table
+        dataset.table = AttributeTable(table.names, {i: 1 - r for i, r in table.rows.items()},
+                                       dict(table.splits))
+        ids2, xs2, y2 = dataset.arrays("val")
+        assert ids2 == ids
+        assert np.array_equal(y2, 1 - y)
+        assert xs2["a"] is not xs["a"] and np.array_equal(xs2["a"], xs["a"])
+
+    def test_deleted_bank_is_reported(self):
+        dataset = small_dataset()
+        dataset.arrays("train")
+        del dataset.banks["b"]
+        with pytest.raises(ValueError, match="no feature bank for kind 'b'"):
+            dataset.arrays("train", kinds=["a", "b"])
+        assert list(dataset.arrays("train", kinds=["a"])[1]) == ["a"]
+
+    def test_in_place_edit_of_a_stacked_split_is_not_seen(self):
+        """The documented rule: only replaced objects are re-stacked."""
+        dataset = small_dataset()
+        ids, xs, y = dataset.arrays("train")
+        first = ids[0]
+        dataset.table.rows[first] = 1 - dataset.table.rows[first]
+        dataset.banks["a"].entries[first] = dataset.banks["a"].entries[first] + 5
+        dataset.table.splits[first] = "test"
+        ids2, xs2, y2 = dataset.arrays("train")
+        assert ids2 == ids and xs2["a"] is xs["a"] and y2 is y
+        # a split not yet stacked is built from the edited dicts
+        assert first in dataset.arrays("test")[0]
+
+    def test_training_and_sweep_scan_each_split_once(self, monkeypatch):
+        dataset = Dataset(*synth_generate(small_spec(
+            views=(ViewSpec("a", 6, 0.1), ViewSpec("b", 5, 0.3)),
+            n_train=64, n_val=24, n_test=24)))
+        scans = []
+        ids_for = AttributeTable.ids_for
+
+        def counting_ids_for(table, split):
+            scans.append(split)
+            return ids_for(table, split)
+
+        monkeypatch.setattr(AttributeTable, "ids_for", counting_ids_for)
+        result = train_regime("allfeatinit", dataset, TrainConfig(epochs=2, seed=1),
+                              PROFILES["desk"])
+        combination_sweep(result.net, dataset, "test")
+        combination_sweep(result.net, dataset, "val")
+        assert sorted(scans) == ["test", "train", "val"]

@@ -139,6 +139,28 @@ class TestBceLoss:
         expected = (bce_loss(pred[0], labels[0]) + bce_loss(pred[1], labels[1])) / 2
         np.testing.assert_allclose(bce_loss_batch(pred, labels), expected)
 
+    @staticmethod
+    def wrapper_reference(pred, labels):
+        """The np.clip / np.sum / np.mean formula bce_loss_batch replaced;
+        it fixes the bytes."""
+        p = np.clip(pred, 1e-7, 1.0 - 1e-7)
+        terms = labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)
+        return float(np.mean(-np.sum(terms, axis=-1)))
+
+    @pytest.mark.parametrize("shape", [(1,), (40,), (1, 1), (64, 8), (3, 40), (1000, 4)])
+    def test_batch_bytes_match_wrapper_reference(self, shape):
+        rng = make_rng(9)
+        edges = np.array([0.0, 1.0, 1e-9, 1.0 - 1e-9, 5e-324, np.nan])
+        for trial in range(20):
+            pred = rng.random(shape)
+            labels = (rng.random(shape) < 0.5).astype(np.float64)
+            if trial % 4 == 0:
+                flat = pred.reshape(-1)
+                flat[:len(edges)] = edges[:flat.size]
+            got = bce_loss_batch(pred, labels)
+            want = self.wrapper_reference(pred, labels)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 class TestDenseBackward:
     def test_zero_upstream(self):
