@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,7 +28,8 @@ from .data import (DataFormatError, Dataset, SyntheticSpec, ViewSpec,
                    format_attr_file, format_split_file, load_bank,
                    parse_attr_file, parse_split_file, save_bank)
 from .evaluate import combination_sweep, report_emit
-from .model import PROFILES, ModelFormatError, load_model, save_model
+from .model import (PROFILES, ModelFormatError, load_model, normalize_mask,
+                    write_model)
 from .protocol import ProtocolError, client_query, serve
 from .training import TrainConfig, regime_schedule, run_schedule, write_logs
 
@@ -45,18 +47,25 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _atomic_write(path, payload: bytes):
+@contextmanager
+def _atomic_file(path):
+    """A binary file that replaces `path` only when the block completes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path, payload: bytes):
+    with _atomic_file(path) as fh:
+        fh.write(payload)
 
 
 def _parse_banks(pairs: list[str]) -> dict[str, str]:
@@ -143,11 +152,17 @@ def _resolve_train_config(args) -> dict:
     resolved = _manifest_config(args.from_manifest) if args.from_manifest else _flag_config(args)
     if not resolved.get("regime"):
         raise UsageError("--regime is required")
-    if resolved["profile"] not in PROFILES:
-        raise UsageError(f"unknown profile {resolved['profile']!r}")
     for key in ("attrs", "split", "banks"):
         if not resolved.get(key):
             raise UsageError(f"missing data input: {key}")
+    for key in ("regime", "profile", "attrs", "split"):
+        if not isinstance(resolved[key], str):
+            raise UsageError(f"config {key} must be a string, got {resolved[key]!r}")
+    banks = resolved["banks"]
+    if not (isinstance(banks, dict) and all(isinstance(p, str) and p for p in banks.values())):
+        raise UsageError(f"config banks must map kind names to paths, got {banks!r}")
+    if resolved["profile"] not in PROFILES:
+        raise UsageError(f"unknown profile {resolved['profile']!r}")
     return resolved
 
 def cmd_train(args) -> int:
@@ -167,8 +182,8 @@ def cmd_train(args) -> int:
     log_path = Path(args.log) if args.log else out.with_suffix(out.suffix + ".log.csv")
     manifest_path = (Path(args.manifest) if args.manifest
                      else out.with_suffix(out.suffix + ".manifest.json"))
-    from .model import model_to_bytes
-    _atomic_write(out, model_to_bytes(result.net))
+    with _atomic_file(out) as fh:
+        write_model(fh, result.net)
     write_logs(result.logs, log_path)
     manifest = {
         "command": "train",
@@ -215,6 +230,8 @@ def cmd_extract_lbp(args) -> int:
         raise UsageError(f"--cell-size must be positive, got {args.cell_size}")
     image_dir = Path(args.images)
     paths = sorted(image_dir.glob("*.pgm"))
+    if not paths:
+        raise DataFormatError(f"no .pgm images in {image_dir}")
     shape = None
     vectors = {}
     for path in paths:
@@ -225,10 +242,7 @@ def cmd_extract_lbp(args) -> int:
             raise DataFormatError(f"{path.name} is {img.shape}, expected {shape} "
                                   "(all images must share one size)")
         vectors[path.stem] = data_mod.lbp_extract(img, args.cell_size)
-    if shape is None:
-        dim = 0
-    else:
-        dim = data_mod.lbp_dim(shape[0], shape[1], args.cell_size)
+    dim = data_mod.lbp_dim(shape[0], shape[1], args.cell_size)
     bank = data_mod.FeatureBank(args.kind, dim, {})
     for img_id, vec in vectors.items():
         bank.add(img_id, vec)
@@ -324,7 +338,10 @@ def cmd_query(args) -> int:
         raise UsageError(f"--endpoint expects host:port, got {args.endpoint!r}")
     port = _parse_port(port, "--endpoint", 1)
     net = load_model(args.model)
-    mask = [k.strip() for k in args.mask.split(",") if k.strip()]
+    try:
+        mask = normalize_mask([k.strip() for k in args.mask.split(",") if k.strip()], net)
+    except ValueError as exc:
+        raise UsageError(f"--mask: {exc}")
     banks = _parse_banks(args.bank)
     features = {}
     for kind in mask:

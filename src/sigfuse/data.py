@@ -412,6 +412,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.latent_dim <= 0 or self.n_attributes <= 0:
             raise ValueError("latent dim and attribute count must be positive")
+        counts = (self.n_train, self.n_val, self.n_test)
+        if min(counts) < 0 or sum(counts) == 0:
+            raise ValueError(f"split counts must be >= 0 with a positive total, got {counts}")
         for v in self.views:
             if v.dim <= 0:
                 raise ValueError(f"view {v.name!r} dim must be positive")

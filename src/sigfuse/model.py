@@ -371,7 +371,7 @@ def _read_layer(rd: Reader, chunk: np.ndarray) -> DenseLayer:
         raise ModelFormatError(str(exc)) from exc
 
 
-def _write_model(buf, net: HybridNet):
+def write_model(buf, net: HybridNet):
     """Write the HNET encoding of `net` to `buf`, anything with `write`."""
     buf.write(MODEL_MAGIC)
     buf.write(struct.pack("<H", MODEL_VERSION))
@@ -410,7 +410,7 @@ def _read_model(stream) -> HybridNet:
 
 def model_to_bytes(net: HybridNet) -> bytes:
     buf = io.BytesIO()
-    _write_model(buf, net)
+    write_model(buf, net)
     return buf.getvalue()
 
 
@@ -430,7 +430,7 @@ def model_from_bytes(data: bytes) -> HybridNet:
 def save_model(net: HybridNet, path):
     """Write `net` as HNET, streaming each matrix straight into the file."""
     with open(path, "wb") as fh:
-        _write_model(fh, net)
+        write_model(fh, net)
 
 
 def load_model(path) -> HybridNet:

@@ -1,11 +1,12 @@
 """Client-server signature transport.
 
-Request frame:  magic "UFSG" | version u8 | mask u8 | dim u16 LE | dim x f32 LE
-Response frame: magic "UFSR" | version u8 | status u8 | count u16 LE | count x f32 LE
-
-Both grammars are length-determined, so concatenated frames split
-unambiguously. The mask byte is informational only: the server scores
-whatever signature arrives and never looks at which features built it.
+Requests and replies share one frame layout and one codec:
+magic 4s | version u8 | byte u8 | count u16 LE | count x f32 LE.
+Byte 5 is the mask in a request (magic "UFSG", payload the signature)
+and the status in a reply ("UFSR", payload the scores). Frames are
+length-determined, so concatenated frames split unambiguously. The mask
+byte is informational only: the server scores whatever signature arrives
+and never looks at which features built it.
 Statuses: 0 ok, 1 bad frame, 2 dimension mismatch, 3 server error.
 """
 
@@ -38,8 +39,10 @@ STATUS_SERVER_ERROR = 3
 # `shutdown()` waits up to this long
 BACKGROUND_POLL_S = 0.05
 
-_REQ_HEADER = struct.Struct("<4sBBH")
-_RESP_HEADER = struct.Struct("<4sBBH")
+_HEADER = struct.Struct("<4sBBH")
+# per magic: what error messages call the frame, its payload and its count
+_NAMES = {REQUEST_MAGIC: ("request", "signature", "dim"),
+          RESPONSE_MAGIC: ("response", "score", "count")}
 
 
 class FrameError(ValueError):
@@ -60,86 +63,79 @@ class ProtocolError(RuntimeError):
 
 @dataclass
 class SignatureRequest:
-    version: int
     mask_bits: int
     values: np.ndarray  # float32, length dim
 
 
 @dataclass
 class ScoreResponse:
-    version: int
     status: int
     scores: np.ndarray  # float32; empty unless status == 0
 
 
-def encode_request(signature: np.ndarray, mask_bits: int) -> bytes:
-    values = np.asarray(signature, dtype="<f4").reshape(-1)
+def _encode(magic: bytes, byte: int, values) -> bytes:
+    values = np.asarray(values, dtype="<f4").reshape(-1)
     if values.size > 0xFFFF:
-        raise ValueError(f"signature dim {values.size} exceeds the u16 limit")
+        _, payload, count = _NAMES[magic]
+        raise ValueError(f"{payload} {count} {values.size} exceeds the u16 limit")
+    return _HEADER.pack(magic, PROTOCOL_VERSION, byte, values.size) + values.tobytes()
+
+
+def _decode(magic: bytes, data: bytes) -> tuple[int, np.ndarray]:
+    """Byte 5 and the values of `data`, one whole frame that must carry `magic`."""
+    if len(data) < _HEADER.size:
+        raise FrameError("truncated", f"frame shorter than header ({len(data)} bytes)")
+    got, version, byte, count = _HEADER.unpack_from(data)
+    name, _, count_name = _NAMES[magic]
+    if got != magic:
+        raise FrameError("bad-magic", f"bad {name} magic {got!r}")
+    if version != PROTOCOL_VERSION:
+        raise FrameError("bad-version", f"unsupported protocol version {version}")
+    expected = _HEADER.size + 4 * count
+    if len(data) != expected:
+        raise FrameError("length-mismatch",
+                         f"frame is {len(data)} bytes, {count_name} {count} implies {expected}")
+    return byte, np.frombuffer(data, dtype="<f4", count=count, offset=_HEADER.size).copy()
+
+
+def _read_frame(sock: socket.socket) -> bytes:
+    """One whole frame from `sock`, its length taken from its header, or
+    b"" when the peer closed before the frame's first byte."""
+    frame, size = b"", _HEADER.size
+    while len(frame) < size:
+        chunk = sock.recv(size - len(frame))
+        if not chunk:
+            if frame:
+                raise FrameError("truncated", "connection closed mid-frame")
+            return b""
+        frame += chunk
+        if len(frame) == _HEADER.size:
+            size += 4 * _HEADER.unpack(frame)[3]
+    return frame
+
+
+def encode_request(signature: np.ndarray, mask_bits: int) -> bytes:
     if not 0 < mask_bits <= 0xFF:
         raise ValueError(f"mask byte must be in 1..255, got {mask_bits}")
-    return _REQ_HEADER.pack(REQUEST_MAGIC, PROTOCOL_VERSION, mask_bits,
-                            values.size) + values.tobytes()
+    return _encode(REQUEST_MAGIC, mask_bits, signature)
 
 
 def decode_request(data: bytes) -> SignatureRequest:
-    if len(data) < _REQ_HEADER.size:
-        raise FrameError("truncated", f"frame shorter than header ({len(data)} bytes)")
-    magic, version, mask_bits, dim = _REQ_HEADER.unpack_from(data)
-    if magic != REQUEST_MAGIC:
-        raise FrameError("bad-magic", f"bad request magic {magic!r}")
-    if version != PROTOCOL_VERSION:
-        raise FrameError("bad-version", f"unsupported protocol version {version}")
+    mask_bits, values = _decode(REQUEST_MAGIC, data)
     if mask_bits == 0:
         raise FrameError("empty-mask", "mask byte must be nonzero")
-    expected = _REQ_HEADER.size + 4 * dim
-    if len(data) != expected:
-        raise FrameError("length-mismatch",
-                         f"frame is {len(data)} bytes, dim {dim} implies {expected}")
-    values = np.frombuffer(data, dtype="<f4", count=dim, offset=_REQ_HEADER.size)
-    return SignatureRequest(version, mask_bits, values.copy())
+    return SignatureRequest(mask_bits, values)
 
 
 def encode_response(status: int, scores: np.ndarray | None = None) -> bytes:
-    if status == STATUS_OK:
-        values = np.asarray(scores, dtype="<f4").reshape(-1)
-    else:
-        values = np.empty(0, dtype="<f4")
-    if values.size > 0xFFFF:
-        raise ValueError(f"score count {values.size} exceeds the u16 limit")
-    return _RESP_HEADER.pack(RESPONSE_MAGIC, PROTOCOL_VERSION, status,
-                             values.size) + values.tobytes()
+    return _encode(RESPONSE_MAGIC, status, scores if status == STATUS_OK else ())
 
 
 def decode_response(data: bytes) -> ScoreResponse:
-    if len(data) < _RESP_HEADER.size:
-        raise FrameError("truncated", f"frame shorter than header ({len(data)} bytes)")
-    magic, version, status, count = _RESP_HEADER.unpack_from(data)
-    if magic != RESPONSE_MAGIC:
-        raise FrameError("bad-magic", f"bad response magic {magic!r}")
-    if version != PROTOCOL_VERSION:
-        raise FrameError("bad-version", f"unsupported protocol version {version}")
-    expected = _RESP_HEADER.size + 4 * count
-    if len(data) != expected:
-        raise FrameError("length-mismatch",
-                         f"frame is {len(data)} bytes, count {count} implies {expected}")
-    if status != STATUS_OK and count != 0:
+    status, scores = _decode(RESPONSE_MAGIC, data)
+    if status != STATUS_OK and scores.size:
         raise FrameError("nonempty-error", "error responses must carry no scores")
-    values = np.frombuffer(data, dtype="<f4", count=count, offset=_RESP_HEADER.size)
-    return ScoreResponse(version, status, values.copy())
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n > 0:
-        chunk = sock.recv(n)
-        if not chunk:
-            if chunks:
-                raise FrameError("truncated", "connection closed mid-frame")
-            return b""
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
+    return ScoreResponse(status, scores)
 
 
 def score_signature(net: HybridNet, values: np.ndarray) -> tuple[int, np.ndarray]:
@@ -148,7 +144,7 @@ def score_signature(net: HybridNet, values: np.ndarray) -> tuple[int, np.ndarray
         return STATUS_DIM_MISMATCH, np.empty(0)
     if not np.all(np.isfinite(values)):
         return STATUS_SERVER_ERROR, np.empty(0)
-    return STATUS_OK, trunk_forward(values.astype(np.float64), net.trunk)
+    return STATUS_OK, trunk_forward(values, net.trunk)
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -157,14 +153,10 @@ class _Handler(socketserver.BaseRequestHandler):
         sock = self.request
         while True:
             try:
-                header = _recv_exact(sock, _REQ_HEADER.size)
-                if not header:
+                frame = _read_frame(sock)
+                if not frame:
                     return
-                magic, version, mask_bits, dim = _REQ_HEADER.unpack_from(header)
-                payload = _recv_exact(sock, 4 * dim)
-                if len(payload) != 4 * dim:
-                    raise FrameError("truncated", "connection closed mid-frame")
-                request = decode_request(header + payload)
+                request = decode_request(frame)
             except FrameError:
                 try:
                     sock.sendall(encode_response(STATUS_BAD_FRAME))
@@ -249,12 +241,10 @@ def client_query(features: dict, mask, net: HybridNet,
     frame = encode_request(signature, mask_to_bits(mask, net))
     with socket.create_connection(endpoint, timeout=timeout) as sock:
         sock.sendall(frame)
-        header = _recv_exact(sock, _RESP_HEADER.size)
-        if not header:
-            raise FrameError("truncated", "server closed without responding")
-        _, _, _, count = _RESP_HEADER.unpack_from(header)
-        payload = _recv_exact(sock, 4 * count)
-        response = decode_response(header + payload)
+        reply = _read_frame(sock)
+    if not reply:
+        raise FrameError("truncated", "server closed without responding")
+    response = decode_response(reply)
     if response.status != STATUS_OK:
         raise ProtocolError(response.status)
     return response.scores

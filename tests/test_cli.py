@@ -152,12 +152,16 @@ class TestExtractLbp:
                     "--out", str(out)]) == 0
         assert out.read_bytes() == first
 
-    def test_empty_dir_gives_empty_bank(self, tmp_path):
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_dir_without_images_is_data_error(self, tmp_path, capsys, exists):
         img_dir = tmp_path / "empty"
-        img_dir.mkdir()
+        if exists:
+            img_dir.mkdir()
+            (img_dir / "notes.txt").write_text("not an image")
         out = tmp_path / "e.fbnk"
-        assert run(["extract-lbp", "--images", str(img_dir), "--out", str(out)]) == 0
-        assert load_bank(out).entries == {}
+        assert run(["extract-lbp", "--images", str(img_dir), "--out", str(out)]) == 3
+        assert f"no .pgm images in {img_dir}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inconsistent_sizes_rejected(self, tmp_path):
         img_dir = tmp_path / "mixed"
@@ -335,3 +339,62 @@ class TestExitClasses:
         path.write_text("not json")
         assert run(["train", "--from-manifest", str(path),
                     "--out", str(tmp_path / "m.hnet")]) == 2
+
+
+class TestConfigValueTypes:
+    """regime, profile, attrs and split must be strings and banks an object
+    of kind name -> path; another type, from --config or from a replayed
+    manifest, is a usage error naming the key, found before any data is
+    read."""
+
+    BAD = [("profile", ["desk"]), ("banks", ["fv"]), ("banks", {"fv": 3}),
+           ("banks", {"fv": ""}), ("regime", 5), ("attrs", 5), ("split", ["p.txt"])]
+
+    @pytest.fixture
+    def config(self, synth_dir, monkeypatch):
+        import sigfuse.cli as cli
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("data was read"))
+        return {"regime": "dedicated:fv", "profile": "desk", "seed": 1, "lr": 0.05,
+                "batch_size": 32, "epochs": 1, "momentum": 0.9, "weight_decay": 0.0,
+                "attrs": str(synth_dir / "attrs.txt"),
+                "split": str(synth_dir / "partition.txt"),
+                "banks": {k: str(synth_dir / f"{k}.fbnk") for k in ("fv", "cnn", "lbp")}}
+
+    @pytest.mark.parametrize("source", ["--config", "--from-manifest"])
+    @pytest.mark.parametrize("key, value", BAD)
+    def test_usage_error_naming_the_key(self, config, tmp_path, capsys, source, key, value):
+        config[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config if source == "--config" else {"config": config}))
+        out = tmp_path / "m.hnet"
+        assert run(["train", source, str(path), "--out", str(out)]) == 2
+        assert f"config {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEmptyOrUnknownInputs:
+    """A query mask that names no kind of the model, and a synth run with
+    no examples, are usage errors found before anything is read or
+    written."""
+
+    @pytest.mark.parametrize("mask, named", [("zz", "zz"), ("fv,zz", "zz"),
+                                             ("", "nonempty"), (" , ", "nonempty")])
+    def test_query_mask(self, tmp_path, monkeypatch, capsys, mask, named):
+        import sigfuse.cli as cli
+        model = tmp_path / "m.hnet"
+        save_model(build_net([("fv", 4)], PROFILES["desk"], seed=0), model)
+        bank = tmp_path / "zz.fbnk"
+        save_bank(FeatureBank("zz", 4, {"a": np.zeros(4, dtype=np.float32)}), bank)
+        monkeypatch.setattr(cli, "load_bank", lambda path: pytest.fail("a bank was read"))
+        assert run(["query", "--model", str(model), "--endpoint", "127.0.0.1:1",
+                    "--mask", mask, "--bank", f"zz={bank}", "--id", "a"]) == 2
+        err = capsys.readouterr().err
+        assert "--mask" in err and named in err
+
+    @pytest.mark.parametrize("counts", [("0", "0", "0"), ("-1", "1", "0"), ("5", "-1", "0")])
+    def test_synth_without_examples(self, tmp_path, capsys, counts):
+        out = tmp_path / "x"
+        assert run(["synth", "--out-dir", str(out), "--train-count", counts[0],
+                    "--val-count", counts[1], "--test-count", counts[2]]) == 2
+        assert "split counts" in capsys.readouterr().err
+        assert not out.exists()
