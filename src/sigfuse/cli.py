@@ -27,7 +27,7 @@ from . import data as data_mod
 from .data import (DataFormatError, Dataset, SyntheticSpec, ViewSpec,
                    format_attr_file, format_split_file, load_bank,
                    parse_attr_file, parse_split_file, save_bank)
-from .evaluate import combination_sweep, report_emit
+from .evaluate import UndefinedAPError, combination_sweep, report_emit
 from .model import (PROFILES, ModelFormatError, load_model, normalize_mask,
                     write_model)
 from .protocol import ProtocolError, client_query, serve
@@ -163,6 +163,12 @@ def _resolve_train_config(args) -> dict:
         raise UsageError(f"config banks must map kind names to paths, got {banks!r}")
     if resolved["profile"] not in PROFILES:
         raise UsageError(f"unknown profile {resolved['profile']!r}")
+    for key in ("seed", "epochs", "batch_size", "lr", "momentum", "weight_decay"):
+        value, whole = resolved[key], key in ("seed", "epochs", "batch_size")
+        # bool is an int subclass: JSON true/false must not pass as 1/0
+        if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
+            raise UsageError(f"config {key} must be {'an integer' if whole else 'a number'}, "
+                             f"got {value!r}")
     return resolved
 
 def cmd_train(args) -> int:
@@ -174,9 +180,10 @@ def cmd_train(args) -> int:
                           momentum=cfg_map["momentum"],
                           weight_decay=cfg_map["weight_decay"])
         stages = regime_schedule(cfg_map["regime"], list(dataset.banks))
-    except (ValueError, TypeError) as exc:  # TypeError: a config value of the wrong type
+    except ValueError as exc:
         raise UsageError(str(exc))
-    # a ValueError while training (a diverged net) is a runtime error
+    # a ValueError while training (a diverged net) is a runtime error; a val
+    # split without examples or positives fails first, as a data error
     result = run_schedule(stages, dataset, cfg, PROFILES[cfg_map["profile"]])
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_suffix(out.suffix + ".log.csv")
@@ -443,7 +450,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, ModelFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, ModelFormatError, UndefinedAPError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, OSError, ProtocolError) as exc:

@@ -32,7 +32,8 @@ SPLIT_NAMES = ("train", "val", "test")
 
 
 class DataFormatError(ValueError):
-    """Raised on malformed attribute, bank or image files."""
+    """Raised on malformed attribute, bank or image files, and on a split
+    with no examples."""
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +502,7 @@ class Dataset:
         if stacked is None or stacked.table is not self.table:
             ids = sorted(self.table.ids_for(split))
             if not ids:
-                raise ValueError(f"split {split!r} has no examples")
+                raise DataFormatError(f"split {split!r} has no examples")
             y = np.concatenate([self.table.rows[i] for i in ids],
                                dtype=np.float64).reshape(len(ids), self.table.n_attributes)
             y.flags.writeable = False

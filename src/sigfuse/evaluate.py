@@ -7,8 +7,9 @@ sends a frame.
 
 AP uses the interpolation-free discrete estimator: mean precision at the
 ranks of the positives after a stable descending sort (ties broken by
-ascending original index). Attributes without positives in a split have
-undefined AP; they are excluded from means and rendered as n/a.
+ascending original index). One kernel, `_column_aps`, ranks every
+attribute of a score matrix at once. Attributes without positives in a
+split have undefined AP; they are excluded from means and rendered as n/a.
 """
 
 from __future__ import annotations
@@ -28,6 +29,34 @@ class UndefinedAPError(ValueError):
     """AP is undefined when a split has no positives for an attribute."""
 
 
+def _column_aps(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The AP of every column of matching (n, L) arrays; NaN where a column
+    has no nonzero label.
+
+    All columns are ranked by one quicksort. A row of distinct keys has one
+    sorted order, the stable one, so only rows with a tie, a +/-0 pair or a
+    NaN (found on their sorted keys) are ranked again with a stable sort.
+    Each column's mean is the pairwise sum of its own 1-D selection over its
+    count, the bits of `precision_at[hits == 1].mean()` per column.
+    """
+    n, n_cols = scores.shape
+    keys = np.negative(scores.T, order="C")  # C-order rows: argsort copies none
+    order = np.argsort(keys, axis=1)
+    ranked = np.sort(keys, axis=1)
+    for row in np.flatnonzero(~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)):
+        order[row] = np.argsort(keys[row], kind="stable")
+    order += n * np.arange(n_cols)[:, None]
+    hits = labels.T.ravel()[order].astype(np.float64, copy=False)
+    precision_at = np.cumsum(hits, axis=1)
+    precision_at /= np.arange(1, n + 1)
+    positive = hits == 1
+    aps = np.full(n_cols, np.nan)
+    for col in np.flatnonzero(hits.any(axis=1)):
+        selected = precision_at[col][positive[col]]
+        aps[col] = np.add.reduce(selected) / selected.size
+    return aps
+
+
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -36,10 +65,7 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
                          f"{scores.shape} and {labels.shape}")
     if not labels.any():
         raise UndefinedAPError("no positive labels")
-    order = np.argsort(-scores, kind="stable")
-    hits = labels[order].astype(np.float64)
-    precision_at = np.cumsum(hits) / np.arange(1, len(hits) + 1)
-    return float(precision_at[hits == 1].mean())
+    return float(_column_aps(scores[:, None], labels[:, None])[0])
 
 
 def evaluate_mask(net: HybridNet, dataset: Dataset, split: str,
@@ -52,13 +78,14 @@ def evaluate_mask(net: HybridNet, dataset: Dataset, split: str,
 
 
 def scores_to_aps(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
-    n_attr = labels.shape[1]
-    aps = np.full(n_attr, np.nan)
-    for a in range(n_attr):
-        try:
-            aps[a] = average_precision(scores[:, a], labels[:, a])
-        except UndefinedAPError:
-            pass
+    """Per-attribute APs (NaN where undefined) and their mean for matching
+    (n, L) score and label matrices."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 2:
+        raise ValueError(f"need matching 2-D score/label arrays, got "
+                         f"{scores.shape} and {labels.shape}")
+    aps = _column_aps(scores, labels)
     defined = aps[~np.isnan(aps)]
     if defined.size == 0:
         raise UndefinedAPError("every attribute has undefined AP on this split")

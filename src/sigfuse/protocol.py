@@ -38,6 +38,9 @@ STATUS_SERVER_ERROR = 3
 # seconds between shutdown checks of a server run by `serve_in_background`;
 # `shutdown()` waits up to this long
 BACKGROUND_POLL_S = 0.05
+# seconds a handler waits on each read or write of its connection; a
+# client that stalls longer, mid-frame or between frames, is disconnected
+READ_TIMEOUT_S = 10.0
 
 _HEADER = struct.Struct("<4sBBH")
 # per magic: what error messages call the frame, its payload and its count
@@ -151,6 +154,7 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         net = self.server.net
         sock = self.request
+        sock.settimeout(READ_TIMEOUT_S)  # TimeoutError is an OSError: close
         while True:
             try:
                 frame = _read_frame(sock)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .evaluate import scores_to_aps
+from .evaluate import UndefinedAPError, scores_to_aps
 from .model import (HybridNet, Profile, build_net, net_backward, net_forward,
                     set_trainable)
 from .nn import make_rng, sgd_step
@@ -238,7 +238,12 @@ def run_schedule(stages: list[StageSchedule], dataset: Dataset, cfg: TrainConfig
                  profile: Profile, on_batch=None) -> TrainResult:
     """Train a fresh net, with a branch for every kind some stage trains,
     through `stages`: in each, exactly its groups learn; after the last,
-    every group does."""
+    every group does. A val split with no examples (`DataFormatError`)
+    or no positive label (`UndefinedAPError`) fails before the net is built."""
+    _, _, val_labels = dataset.arrays("val", kinds=())
+    if not val_labels.any():
+        raise UndefinedAPError("split 'val' has no positive label for any attribute; "
+                               "validation AP is undefined")
     learned = {g for s in stages for g in s.trainable}
     net = build_net([kd for kd in dataset.kind_dims() if kd[0] in learned],
                     profile_for(dataset, profile), cfg.seed)

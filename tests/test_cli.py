@@ -398,3 +398,97 @@ class TestEmptyOrUnknownInputs:
                     "--val-count", counts[1], "--test-count", counts[2]]) == 2
         assert "split counts" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNumericConfigTypes:
+    """seed, epochs and batch_size must be integers and lr, momentum and
+    weight_decay numbers; a JSON boolean is neither. Another type, from
+    --config or from a replayed manifest, is a usage error naming the key,
+    found before any data is read."""
+
+    BAD = [("epochs", True), ("seed", False), ("batch_size", True), ("lr", True),
+           ("momentum", False), ("weight_decay", True), ("epochs", 2.0), ("seed", "1"),
+           ("lr", "0.1"), ("batch_size", None)]
+
+    @pytest.fixture
+    def config(self, synth_dir, monkeypatch):
+        import sigfuse.cli as cli
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("data was read"))
+        return {"regime": "dedicated:fv", "profile": "desk", "seed": 1, "lr": 0.05,
+                "batch_size": 32, "epochs": 1, "momentum": 0.9, "weight_decay": 0,
+                "attrs": str(synth_dir / "attrs.txt"),
+                "split": str(synth_dir / "partition.txt"),
+                "banks": {k: str(synth_dir / f"{k}.fbnk") for k in ("fv", "cnn", "lbp")}}
+
+    @pytest.mark.parametrize("source", ["--config", "--from-manifest"])
+    @pytest.mark.parametrize("key, value", BAD)
+    def test_usage_error_naming_the_key(self, config, tmp_path, capsys, source, key, value):
+        config[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config if source == "--config" else {"config": config}))
+        out = tmp_path / "m.hnet"
+        assert run(["train", source, str(path), "--out", str(out)]) == 2
+        assert f"config {key} must be " in capsys.readouterr().err
+        assert not list(tmp_path.glob("m.hnet*"))
+
+    def test_booleans_beside_flags(self, synth_dir, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"epochs": true, "seed": false}')
+        args = train_args(synth_dir, tmp_path / "m.hnet", extra=("--config", str(config)))
+        for flag in ("--epochs", "--seed"):
+            del args[args.index(flag):args.index(flag) + 2]
+        assert run(args) == 2
+        assert "config seed must be an integer, got False" in capsys.readouterr().err
+        assert not list(tmp_path.glob("m.hnet*"))
+
+
+def rewrite_split_labels(synth_dir, split_id: str, *, empty: bool):
+    """Move the examples of split `split_id` (0 train, 1 val, 2 test) to
+    another split, or clear every attribute of them."""
+    partition = synth_dir / "partition.txt"
+    pairs = [line.split() for line in partition.read_text().splitlines()]
+    chosen = {i for i, s in pairs if s == split_id}
+    if empty:
+        other = "0" if split_id == "2" else "2"
+        partition.write_text("".join(f"{i} {other if s == split_id else s}\n"
+                                     for i, s in pairs))
+        return
+    attrs = synth_dir / "attrs.txt"
+    head, names, *rows = attrs.read_text().splitlines()
+    rows = [row.split()[0] + " -1" * len(names.split()) if row.split()[0] in chosen else row
+            for row in rows]
+    attrs.write_text("\n".join([head, names, *rows]) + "\n")
+
+
+class TestUndefinedValidation:
+    """A val split without examples or without a positive label is a data
+    error (exit 3) found before the net is built; so is such an eval split."""
+
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_train_exits_3_before_building_the_net(self, synth_dir, tmp_path, monkeypatch,
+                                                   capsys, empty):
+        import sigfuse.training as training
+        monkeypatch.setattr(training, "build_net", lambda *a: pytest.fail("net was built"))
+        rewrite_split_labels(synth_dir, "1", empty=empty)
+        out = tmp_path / "m.hnet"
+        assert run(train_args(synth_dir, out, "allfeat")) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "split 'val'" in err
+        assert not list(tmp_path.glob("m.hnet*"))
+
+    @pytest.mark.parametrize("empty, named", [(True, "split 'test' has no examples"),
+                                              (False, "undefined AP")])
+    def test_eval_exits_3(self, synth_dir, tmp_path, capsys, empty, named):
+        model = tmp_path / "m.hnet"
+        assert run(train_args(synth_dir, model, "allfeat", extra=("--epochs", "1"))) == 0
+        rewrite_split_labels(synth_dir, "2", empty=empty)
+        prefix = tmp_path / "report"
+        assert run(["eval", "--model", str(model),
+                    "--attrs", str(synth_dir / "attrs.txt"),
+                    "--split-file", str(synth_dir / "partition.txt"),
+                    "--bank", f"fv={synth_dir / 'fv.fbnk'}",
+                    "--bank", f"cnn={synth_dir / 'cnn.fbnk'}",
+                    "--bank", f"lbp={synth_dir / 'lbp.fbnk'}",
+                    "--split", "test", "--out-prefix", str(prefix)]) == 3
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.glob("report*"))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sigfuse import evaluate
 from sigfuse.data import Dataset, SyntheticSpec, ViewSpec, synth_generate
@@ -79,6 +81,144 @@ class TestAveragePrecision:
             separated = scores[labels == 1].min() > scores[labels == 0].max() \
                 if (labels == 0).any() else True
             assert (ap == 1.0) == separated
+
+
+def reference_average_precision(scores, labels):
+    """The per-column formula `_column_aps` replaced; it fixes the bits."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 1 or scores.size == 0:
+        raise ValueError(f"need matching 1-D score/label arrays, got "
+                         f"{scores.shape} and {labels.shape}")
+    if not labels.any():
+        raise UndefinedAPError("no positive labels")
+    order = np.argsort(-scores, kind="stable")
+    hits = labels[order].astype(np.float64)
+    precision_at = np.cumsum(hits) / np.arange(1, len(hits) + 1)
+    return float(precision_at[hits == 1].mean())
+
+
+def reference_scores_to_aps(scores, labels):
+    """The per-attribute loop `scores_to_aps` replaced."""
+    n_attr = labels.shape[1]
+    aps = np.full(n_attr, np.nan)
+    for a in range(n_attr):
+        try:
+            aps[a] = reference_average_precision(scores[:, a], labels[:, a])
+        except UndefinedAPError:
+            pass
+    defined = aps[~np.isnan(aps)]
+    if defined.size == 0:
+        raise UndefinedAPError("every attribute has undefined AP on this split")
+    return aps, float(defined.mean())
+
+
+def assert_bits_match_reference(scores, labels):
+    """`scores_to_aps` and `average_precision` give the reference's bytes,
+    or raise where it raises."""
+    try:
+        want = reference_scores_to_aps(scores, labels)
+    except UndefinedAPError:
+        with pytest.raises(UndefinedAPError):
+            scores_to_aps(scores, labels)
+    else:
+        aps, mean = scores_to_aps(scores, labels)
+        assert aps.tobytes() == want[0].tobytes()
+        assert np.float64(mean).tobytes() == np.float64(want[1]).tobytes()
+    for col in range(labels.shape[1]):
+        if labels[:, col].any():
+            got = average_precision(scores[:, col], labels[:, col])
+            ref = reference_average_precision(scores[:, col], labels[:, col])
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+        else:
+            with pytest.raises(UndefinedAPError, match="no positive labels"):
+                average_precision(scores[:, col], labels[:, col])
+
+
+# ties, +/-0, a saturated sigmoid, subnormals and NaNs, mixed with any float
+_SCORE_EDGES = [0.0, -0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, 5e-324, -5e-324, np.nan, -np.nan]
+_LABEL_DTYPES = [np.uint8, np.int64, np.float64, np.bool_]
+
+
+@st.composite
+def score_label_matrices(draw):
+    n, n_attr = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    elements = st.one_of(st.sampled_from(_SCORE_EDGES),
+                         st.floats(-2.0, 2.0, allow_nan=False))
+    scores = draw(arrays(np.float64, (n, n_attr), elements=elements))
+    labels = draw(arrays(draw(st.sampled_from(_LABEL_DTYPES)), (n, n_attr),
+                         elements=st.integers(0, 1)))
+    return scores, labels
+
+
+class TestColumnKernel:
+    @given(score_label_matrices())
+    @example((np.array([[0.3]]), np.array([[1]], dtype=np.uint8)))        # n = 1, L = 1
+    @example((np.array([[0.3]]), np.array([[0.0]])))                      # n = 1, no positive
+    @example((np.array([[0.5, 0.5, np.nan]] * 3), np.eye(3)))             # ties and NaN
+    @example((np.array([[0.0], [-0.0], [0.0]]), np.array([[0], [1], [1]])))  # +/-0
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_reference(self, case):
+        assert_bits_match_reference(*case)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_match_reference_at_sweep_shape(self, seed):
+        rng = make_rng(seed)
+        scores = rng.random((1000, 8))
+        scores[:, 1] = 1.0 - 2.0 ** -53 * rng.integers(1, 4, 1000)  # saturated, tied
+        labels = (rng.random((1000, 8)) < np.linspace(0.02, 0.9, 8)).astype(np.float64)
+        labels[:, 7] = 0  # an attribute without positives
+        assert_bits_match_reference(scores, labels)
+
+    def test_distinct_scores_take_the_quicksort_ranking(self):
+        rng = make_rng(5)
+        scores = rng.permutation(4000).reshape(1000, 4) / 4000.0
+        labels = (rng.random((1000, 4)) < 0.4).astype(np.uint8)
+        real_argsort, stable_calls = np.argsort, []
+
+        def spying(a, *args, kind=None, **kwargs):
+            if kind == "stable":
+                stable_calls.append(a.shape)
+            return real_argsort(a, *args, kind=kind, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "argsort", spying)
+            aps, _ = scores_to_aps(scores, labels)
+        assert stable_calls == []
+        assert aps.tobytes() == reference_scores_to_aps(scores, labels)[0].tobytes()
+
+    def test_tied_column_falls_back_to_the_stable_ranking(self):
+        rng = make_rng(6)
+        n = 1000
+        scores = np.stack([rng.random(n), rng.integers(0, 3, n) / 4.0], axis=1)
+        labels = (rng.random((n, 2)) < 0.3).astype(np.float64)
+        keys = -scores[:, 1]
+        quick, stable = np.argsort(keys), np.argsort(keys, kind="stable")
+        # the case only tests the fallback if the quicksort ranking scores differently
+        hits = labels[quick, 1]
+        quick_ap = (np.cumsum(hits) / np.arange(1, n + 1))[hits == 1].mean()
+        assert not np.array_equal(quick, stable)
+        assert quick_ap != reference_average_precision(scores[:, 1], labels[:, 1])
+        assert_bits_match_reference(scores, labels)
+
+    @pytest.mark.parametrize("scores_shape, labels_shape",
+                             [((5, 3), (5, 2)), ((5, 2), (4, 2)), ((5,), (5,)),
+                              ((2, 5, 2), (2, 5, 2))])
+    def test_shape_mismatch_raises(self, scores_shape, labels_shape):
+        with pytest.raises(ValueError, match="matching 2-D"):
+            scores_to_aps(np.zeros(scores_shape), np.ones(labels_shape))
+
+    def test_average_precision_keeps_its_messages(self):
+        with pytest.raises(ValueError, match="matching 1-D"):
+            average_precision(np.zeros((3, 1)), np.ones((3, 1)))
+        with pytest.raises(ValueError, match="matching 1-D"):
+            average_precision(np.zeros(0), np.ones(0))
+        with pytest.raises(UndefinedAPError, match="no positive labels"):
+            average_precision(np.zeros(3), np.zeros(3))
+
+    def test_empty_split_is_undefined(self):
+        with pytest.raises(UndefinedAPError, match="every attribute"):
+            scores_to_aps(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def toy_dataset(seed=0, n_attr=4):

@@ -3,6 +3,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from sigfuse.model import (PROFILES, Profile, TrunkParams, build_net,
                            load_model, mask_to_bits, model_to_bytes,
                            net_forward, save_model, trunk_forward)
+from sigfuse import protocol
 from sigfuse.nn import DenseLayer, make_rng
 from sigfuse.protocol import (PROTOCOL_VERSION, STATUS_BAD_FRAME,
                               STATUS_DIM_MISMATCH, STATUS_OK,
@@ -206,6 +208,37 @@ class TestServer:
         for t in threads:
             t.join()
         assert all(r == expected for r in results)
+
+
+class TestReadDeadline:
+    """A client that stalls mid-frame or between frames is disconnected
+    after READ_TIMEOUT_S, and its handler thread ends."""
+
+    def test_stalled_clients_are_disconnected(self, monkeypatch):
+        monkeypatch.setattr(protocol, "READ_TIMEOUT_S", 0.2)
+        srv = SignatureServer(desk_net(seed=21))
+        srv.serve_in_background()
+        baseline = set(threading.enumerate())
+        frame = encode_request(np.ones(srv.net.signature_dim), 1)
+        try:
+            socks = [socket.create_connection(srv.endpoint, timeout=5) for _ in range(5)]
+            started = time.monotonic()
+            for sock in socks[:4]:
+                sock.sendall(frame[:6])  # magic, version, mask: no count
+            socks[4].sendall(frame)
+            assert decode_response(socks[4].recv(65536)).status == STATUS_OK
+            for sock in socks:
+                assert sock.recv(1) == b""  # closed, with no reply
+                sock.close()
+            assert time.monotonic() - started >= 0.2
+            deadline = time.monotonic() + 5
+            while set(threading.enumerate()) - baseline and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not set(threading.enumerate()) - baseline
+            assert decode_response(raw_exchange(srv.endpoint, frame)).status == STATUS_OK
+        finally:
+            srv.shutdown()
+            srv.server_close()
 
 
 class TestClientQuery:
