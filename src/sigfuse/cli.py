@@ -169,6 +169,12 @@ def _resolve_train_config(args) -> dict:
         if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
             raise UsageError(f"config {key} must be {'an integer' if whole else 'a number'}, "
                              f"got {value!r}")
+        if not whole:
+            try:
+                float(value)
+            except OverflowError:
+                raise UsageError(f"config {key} must be a number within float range, "
+                                 f"got an integer of {len(str(abs(value)))} digits")
     return resolved
 
 def cmd_train(args) -> int:

@@ -408,7 +408,8 @@ class TestNumericConfigTypes:
 
     BAD = [("epochs", True), ("seed", False), ("batch_size", True), ("lr", True),
            ("momentum", False), ("weight_decay", True), ("epochs", 2.0), ("seed", "1"),
-           ("lr", "0.1"), ("batch_size", None)]
+           ("lr", "0.1"), ("batch_size", None),
+           pytest.param("lr", 10 ** 400, id="lr-int-beyond-float")]
 
     @pytest.fixture
     def config(self, synth_dir, monkeypatch):
