@@ -28,8 +28,8 @@ from .data import (DataFormatError, Dataset, SyntheticSpec, ViewSpec,
                    format_attr_file, format_split_file, load_bank,
                    parse_attr_file, parse_split_file, save_bank)
 from .evaluate import UndefinedAPError, combination_sweep, report_emit
-from .model import (PROFILES, ModelFormatError, load_model, normalize_mask,
-                    write_model)
+from .model import (MAX_KINDS, PROFILES, ModelFormatError, load_model,
+                    normalize_mask, write_model)
 from .protocol import ProtocolError, client_query, serve
 from .training import TrainConfig, regime_schedule, run_schedule, write_logs
 
@@ -161,6 +161,9 @@ def _resolve_train_config(args) -> dict:
     banks = resolved["banks"]
     if not (isinstance(banks, dict) and all(isinstance(p, str) and p for p in banks.values())):
         raise UsageError(f"config banks must map kind names to paths, got {banks!r}")
+    if len(banks) > MAX_KINDS:
+        raise UsageError(f"config banks names {len(banks)} kinds; a net holds at most "
+                         f"{MAX_KINDS}")
     if resolved["profile"] not in PROFILES:
         raise UsageError(f"unknown profile {resolved['profile']!r}")
     for key in ("seed", "epochs", "batch_size", "lr", "momentum", "weight_decay"):
@@ -461,6 +464,10 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (ValueError, OSError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as exc:  # any other fault is a runtime error, never a traceback
+        print(f"error: {type(exc).__name__}: " + " ".join(str(exc).splitlines()),
+              file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import struct
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,20 +146,98 @@ def split_dataset(table: AttributeTable, ratios: tuple[float, float, float],
 # feature banks (FBNK binary container)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FeatureBank:
-    kind_name: str
-    dim: int
-    entries: dict[str, np.ndarray]  # image id -> float32 vector of length dim
+    """One feature kind's vectors: a `<f4` matrix and an insertion-ordered
+    id -> row map into it.
+
+    `entries` is a live view of the two with the semantics of a dict of
+    float32 vectors: insertion order, `in`, `len`, `keys()`, `items()`,
+    `del`, and `entries[id] = v`, which keeps an existing id's position and
+    writes a fresh row, so a vector fetched before keeps its values. The
+    rows of deleted or overwritten ids, and spare rows kept for `add`, are
+    in the matrix but in no map entry until the matrix next grows.
+    """
+
+    def __init__(self, kind_name: str, dim: int, entries=None):
+        values = list(entries.values()) if entries else []
+        matrix = np.array(values, dtype="<f4") if values else np.empty((0, dim), "<f4")
+        if matrix.shape != (len(values), dim):
+            raise ValueError(f"bank entries of shape {matrix.shape[1:]}, bank dim is {dim}")
+        self.kind_name, self.dim = kind_name, dim
+        self.matrix = matrix
+        self.rows: dict[str, int] = dict(zip(entries or (), range(len(values))))
+        self._free = len(values)  # the first row no id has used
+
+    @classmethod
+    def from_matrix(cls, kind_name: str, matrix: np.ndarray,
+                    rows: dict[str, int]) -> FeatureBank:
+        """A bank over a (count, dim) `<f4` matrix as it is, whose row
+        `rows[id]` is that id's vector."""
+        bank = cls(kind_name, matrix.shape[1])
+        bank.matrix, bank.rows, bank._free = matrix, rows, len(matrix)
+        return bank
+
+    @property
+    def entries(self) -> MutableMapping:
+        # a fresh view each time: a view kept on the bank would make a
+        # reference cycle, and banks would wait for the cyclic collector
+        return _Entries(self)
 
     def add(self, img_id: str, values: np.ndarray):
+        self._put(img_id, values, finite=True)
+
+    def _put(self, img_id: str, values, finite: bool = False):
         values = np.asarray(values, dtype=np.float32)
         if values.shape != (self.dim,):
             raise ValueError(f"entry {img_id!r} has shape {values.shape}, "
                              f"bank dim is {self.dim}")
-        if not np.all(np.isfinite(values)):
+        if finite and not np.all(np.isfinite(values)):
             raise ValueError(f"entry {img_id!r} contains non-finite values")
-        self.entries[img_id] = values
+        if self._free == len(self.matrix):
+            self._grow()
+        self.matrix[self._free] = values
+        self.rows[img_id] = self._free
+        self._free += 1
+
+    def _grow(self):
+        """Move the mapped rows, in id order, into a new matrix with room
+        for as many again, so that n puts copy O(n) rows."""
+        live = np.fromiter(self.rows.values(), dtype=np.intp, count=len(self.rows))
+        matrix = np.empty((max(2 * len(live), 16), self.dim), dtype="<f4")
+        np.take(self.matrix, live, axis=0, out=matrix[:len(live)])
+        for row, img_id in enumerate(self.rows):
+            self.rows[img_id] = row
+        self.matrix, self._free = matrix, len(live)
+
+
+class _Entries(MutableMapping):
+    """`FeatureBank.entries`: image id -> float32 vector of length dim."""
+
+    __slots__ = ("_bank",)
+
+    def __init__(self, bank: FeatureBank):
+        self._bank = bank
+
+    def __getitem__(self, img_id: str) -> np.ndarray:
+        return self._bank.matrix[self._bank.rows[img_id]]
+
+    def __setitem__(self, img_id: str, values):
+        self._bank._put(img_id, values)
+
+    def __delitem__(self, img_id: str):
+        del self._bank.rows[img_id]
+
+    def __contains__(self, img_id) -> bool:
+        return img_id in self._bank.rows
+
+    def __iter__(self):
+        return iter(self._bank.rows)
+
+    def __len__(self) -> int:
+        return len(self._bank.rows)
+
+    def keys(self):
+        return self._bank.rows.keys()
 
 
 def bank_to_bytes(bank: FeatureBank) -> bytes:
@@ -169,9 +248,9 @@ def bank_to_bytes(bank: FeatureBank) -> bytes:
     head.write(BANK_MAGIC)
     head.write(struct.pack("<H", BANK_VERSION))
     write_str(head, bank.kind_name)
-    count, step = len(bank.entries), 4 * bank.dim
+    count, step = len(bank.rows), 4 * bank.dim
     head.write(struct.pack("<IQ", bank.dim, count))
-    ids = [img_id.encode("utf-8") for img_id in bank.entries]
+    ids = [img_id.encode("utf-8") for img_id in bank.rows]
     lens = np.fromiter(map(len, ids), dtype=np.int64, count=count)
     if count and lens.max() > 0xFFFF:
         raise ValueError(f"an image id of {lens.max()} UTF-8 bytes exceeds the u16 length")
@@ -188,7 +267,7 @@ def bank_to_bytes(bank: FeatureBank) -> bytes:
     out[np.arange(int(lens.sum())) + np.repeat(starts + 2 - id_starts, lens)] = \
         np.frombuffer(b"".join(ids), dtype=np.uint8)
     if count:
-        vectors = np.concatenate(list(bank.entries.values()), dtype="<f4")
+        vectors = bank.matrix[np.fromiter(bank.rows.values(), dtype=np.intp, count=count)]
         sliding_window_view(out, step, writeable=True)[starts + 2 + lens] = \
             vectors.view(np.uint8).reshape(count, step)
     return out.tobytes()
@@ -196,8 +275,8 @@ def bank_to_bytes(bank: FeatureBank) -> bytes:
 
 def bank_from_bytes(data: bytes) -> FeatureBank:
     """Parse an FBNK v1 file: one pass over the records reads the id
-    lengths and ids, then one gather lifts every vector into a single
-    (count, dim) float32 matrix whose rows are the entries."""
+    lengths and ids, then one gather lifts every vector into the bank's
+    (count, dim) float32 matrix, row i for the i-th record."""
     rd = Reader(io.BytesIO(data), DataFormatError, "bank")
     if rd.take(4) != BANK_MAGIC:
         raise DataFormatError("bad bank magic")
@@ -236,14 +315,14 @@ def bank_from_bytes(data: bytes) -> FeatureBank:
     records = np.frombuffer(data, dtype=np.uint8)
     vectors = (sliding_window_view(records, step)[offsets] if count
                else np.empty((0, step), dtype=np.uint8)).view("<f4")
-    entries = dict(zip(ids, vectors))
-    if len(entries) != count:
+    rows = dict(zip(ids, range(count)))
+    if len(rows) != count:
         seen = set()
         for img_id in ids:
             if img_id in seen:
                 raise DataFormatError(f"duplicate image id {img_id!r} in bank")
             seen.add(img_id)
-    return FeatureBank(kind_name, dim, entries)
+    return FeatureBank.from_matrix(kind_name, vectors, rows)
 
 
 def save_bank(bank: FeatureBank, path):
@@ -452,7 +531,7 @@ def synth_generate(spec: SyntheticSpec) -> tuple[AttributeTable, dict[str, Featu
         finite = np.isfinite(obs).all(axis=1)
         if not finite.all():
             raise ValueError(f"entry {ids[int(np.argmin(finite))]!r} contains non-finite values")
-        banks[view.name] = FeatureBank(view.name, view.dim, dict(zip(ids, obs)))
+        banks[view.name] = FeatureBank.from_matrix(view.name, obs, dict(zip(ids, range(n))))
     return table, banks
 
 
@@ -514,12 +593,14 @@ class Dataset:
                 raise ValueError(f"no feature bank for kind {kind!r}")
             source, x = stacked.xs.get(kind, (None, None))
             if source is not bank:
-                missing = [i for i in stacked.ids if i not in bank.entries]
-                if missing:
+                try:
+                    rows = np.fromiter(map(bank.rows.__getitem__, stacked.ids),
+                                       dtype=np.intp, count=len(stacked.ids))
+                except KeyError:
+                    missing = [i for i in stacked.ids if i not in bank.rows]
                     raise ValueError(f"bank {kind!r} missing features for {len(missing)} "
-                                     f"images (first: {missing[0]!r})")
-                x = np.concatenate([bank.entries[i] for i in stacked.ids],
-                                   dtype=np.float64).reshape(len(stacked.ids), bank.dim)
+                                     f"images (first: {missing[0]!r})") from None
+                x = bank.matrix[rows].astype(np.float64)
                 x.flags.writeable = False
                 stacked.xs[kind] = (bank, x)
             xs[kind] = x

@@ -23,6 +23,9 @@ from .nn import (DenseLayer, LayerGrad, ShapeError, bce_loss_batch,
 MODEL_MAGIC = b"HNET"
 MODEL_VERSION = 1
 
+# a UFSG request names the active kinds in one mask byte, bit i for kind id i
+MAX_KINDS = 8
+
 # rng stream tags for parameter initialization
 _TAG_BRANCH = 1
 _TAG_TRUNK = 2
@@ -131,6 +134,7 @@ def build_net(kinds: list[tuple[str, int]], profile: Profile, seed: int) -> Hybr
     branch's initialization does not depend on how many other kinds exist
     or in which order they were trained.
     """
+    _check_kind_count(len(kinds))
     fkinds = [FeatureKind(i, name, dim) for i, (name, dim) in enumerate(kinds)]
     branches = [init_branch(k, profile, seed) for k in fkinds]
     rng = make_rng(seed, _TAG_TRUNK)
@@ -140,6 +144,12 @@ def build_net(kinds: list[tuple[str, int]], profile: Profile, seed: int) -> Hybr
         init_dense(profile.trunk_hidden2, profile.n_outputs, rng),
     )
     return HybridNet(fkinds, branches, trunk)
+
+
+def _check_kind_count(count: int):
+    if count > MAX_KINDS:
+        raise ValueError(f"a net holds at most {MAX_KINDS} feature kinds (one bit each in "
+                         f"the request mask byte), got {count}")
 
 
 def init_branch(kind: FeatureKind, profile: Profile, seed: int) -> BranchParams:
@@ -156,6 +166,7 @@ def add_branch(net: HybridNet, name: str, input_dim: int, profile: Profile,
     existing net; no other parameter group is touched."""
     if name in net.kind_names():
         raise ValueError(f"kind {name!r} already exists")
+    _check_kind_count(len(net.kinds) + 1)
     if profile.signature_dim != net.signature_dim:
         raise ShapeError(f"profile signature dim {profile.signature_dim} does not "
                          f"match net signature dim {net.signature_dim}")

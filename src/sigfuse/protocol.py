@@ -180,10 +180,15 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class SignatureServer(socketserver.ThreadingTCPServer):
-    """Concurrent score server; the loaded model is shared immutable state."""
+    """Concurrent score server; the loaded model is shared immutable state.
+
+    The listen backlog is the system's largest, not `socketserver`'s 5: a
+    burst of connects beyond the backlog has its SYNs dropped, and each
+    dropped client waits out a 1 s retry before it is even accepted."""
 
     allow_reuse_address = True
     daemon_threads = True
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, net: HybridNet, host: str = "127.0.0.1", port: int = 0):
         self.net = net

@@ -493,3 +493,49 @@ class TestUndefinedValidation:
                     "--split", "test", "--out-prefix", str(prefix)]) == 3
         assert named in capsys.readouterr().err
         assert not list(tmp_path.glob("report*"))
+
+
+class TestKindLimit:
+    """`train` with more than 8 banks is a usage error found before any
+    file is read: the attribute, split and bank paths here do not exist."""
+
+    def test_nine_bank_flags(self, tmp_path, capsys):
+        args = ["train", "--regime", "allfeat", "--attrs", str(tmp_path / "none.txt"),
+                "--split-file", str(tmp_path / "none.txt"), "--out", str(tmp_path / "m.hnet")]
+        for i in range(9):
+            args += ["--bank", f"k{i}={tmp_path / f'k{i}.fbnk'}"]
+        assert run(args) == 2
+        assert "9 kinds; a net holds at most 8" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_nine_banks_in_a_config(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "regime": "allfeat", "attrs": str(tmp_path / "none.txt"),
+            "split": str(tmp_path / "none.txt"),
+            "banks": {f"k{i}": str(tmp_path / f"k{i}.fbnk") for i in range(9)}}))
+        assert run(["train", "--config", str(config), "--out", str(tmp_path / "m.hnet")]) == 2
+        assert "9 kinds; a net holds at most 8" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+class TestFinalGuard:
+    """An exception of no mapped class exits 4 with one `error:` line naming
+    its type, never a traceback and exit 1."""
+
+    @pytest.mark.parametrize("exc, line", [
+        (KeyError("attrs"), "error: KeyError: 'attrs'"),
+        (TypeError("bad\noperand"), "error: TypeError: bad operand"),
+        (RuntimeError("boom"), "error: RuntimeError: boom"),
+    ])
+    def test_unmapped_exception_exits_4(self, tmp_path, monkeypatch, capsys, exc, line):
+        import sigfuse.cli as cli
+
+        def raising(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_synth", raising)
+        assert run(["synth", "--out-dir", str(tmp_path / "d")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+        assert "Traceback" not in captured.out + captured.err

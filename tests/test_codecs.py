@@ -1,10 +1,12 @@
 """FBNK and HNET codecs against per-record reference codecs, and every
 way a cut or inflated file must fail."""
 
+import gc
 import os
 import struct
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -97,6 +99,79 @@ class TestFbnkAgainstReference:
         bank = FeatureBank("fv", 1, {"y" * 65536: np.zeros(1, np.float32)})
         with pytest.raises(ValueError, match="65536"):
             bank_to_bytes(bank)
+
+
+class TestBankEntriesView:
+    """`FeatureBank.entries` over the matrix and id -> row map behaves as
+    the dict of vectors it stands for, and encodes as that dict would."""
+
+    OPS = st.lists(st.tuples(st.sampled_from(["set", "add", "del"]),
+                             st.sampled_from(["a", "bb", "", "é", "c" * 40]),
+                             st.integers(0, 2 ** 16)), max_size=60)
+
+    @given(OPS, st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_entries_follow_a_dict(self, ops, dim):
+        bank, model = FeatureBank("k", dim, {}), {}
+        for op, img_id, seed in ops:
+            vec = make_rng(seed).standard_normal(dim).astype(np.float32)
+            if op == "del":
+                if img_id in model:
+                    del model[img_id], bank.entries[img_id]
+                continue
+            model[img_id] = vec
+            if op == "add":
+                bank.add(img_id, vec)
+            else:
+                bank.entries[img_id] = vec
+        assert list(bank.entries) == list(bank.entries.keys()) == list(model)
+        assert len(bank.entries) == len(model)
+        assert all(img_id in bank.entries for img_id in model) and "zz" not in bank.entries
+        for (img_id, vec), (want_id, want) in zip(bank.entries.items(), model.items()):
+            assert img_id == want_id and vec.dtype == np.float32
+            assert vec.tobytes() == want.tobytes()
+        data = bank_to_bytes(bank)
+        assert data == ref_bank_to_bytes(FeatureBank("k", dim, model))
+        assert_same_bank(bank_from_bytes(data), bank)
+
+    def test_overwrite_keeps_position_and_fetched_vectors(self):
+        bank = small_bank()
+        before = bank.entries["bb"]
+        kept = before.copy()
+        bank.entries["bb"] = np.full(3, 7.0)
+        assert list(bank.entries) == ["a", "bb", "", "é"]
+        assert before.tobytes() == kept.tobytes()
+        assert bank.entries["bb"].tobytes() == np.full(3, 7.0, "<f4").tobytes()
+        del bank.entries["a"]
+        bank.entries["a"] = np.zeros(3)
+        assert list(bank.entries) == ["bb", "", "é", "a"]
+        with pytest.raises(KeyError):
+            bank.entries["zz"]
+
+    def test_wrong_shapes_refused(self):
+        with pytest.raises(ValueError, match="bank dim is 3"):
+            FeatureBank("fv", 3, {"a": np.zeros(4, np.float32)})
+        with pytest.raises(ValueError, match="bank dim is 3"):
+            small_bank().entries["x"] = np.zeros(2)
+
+    def test_bank_is_freed_without_the_cyclic_collector(self):
+        """A bank in a reference cycle would hold its matrix until a full
+        collection; loaded banks are made and dropped on every load."""
+        bank = bank_from_bytes(bank_to_bytes(small_bank()))
+        bank.entries["new"] = np.ones(3)
+        ref = weakref.ref(bank)
+        gc.disable()
+        try:
+            del bank
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_loaded_bank_is_one_matrix(self):
+        bank = bank_from_bytes(bank_to_bytes(small_bank()))
+        assert bank.matrix.shape == (4, 3) and bank.matrix.dtype == np.dtype("<f4")
+        assert bank.rows == {"a": 0, "bb": 1, "": 2, "é": 3}
+        assert all(np.shares_memory(vec, bank.matrix) for vec in bank.entries.values())
 
 
 def small_bank():

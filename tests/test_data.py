@@ -313,6 +313,13 @@ class TestSynthGenerate:
             aps.append(average_precision(txa @ w, ty[:, j]))
         assert np.mean(aps) > 0.99
 
+    def test_banks_wrap_one_matrix_per_view(self):
+        table, banks = synth_generate(small_spec(n_train=10, n_val=2, n_test=2))
+        for view in small_spec().views:
+            bank = banks[view.name]
+            assert bank.matrix.shape == (14, view.dim) and bank.matrix.dtype == np.float32
+            assert bank.rows == {img_id: row for row, img_id in enumerate(table.rows)}
+
     def test_split_sizes(self):
         table, _ = synth_generate(small_spec())
         assert len(table.ids_for("train")) == 600

@@ -1,8 +1,9 @@
-"""Golden wire corpus: sha256 of seeded UFSG request frames and of the
-exact UFSR reply bytes that an in-process `SignatureServer` sends back.
+"""Golden corpus: sha256 of seeded UFSG request frames and of the exact
+UFSR reply bytes that an in-process `SignatureServer` sends back, and of
+the synthetic dataset files, FBNK banks and stacked split matrices.
 
-A fixed seed must give byte-identical wire frames, so a hash that changes
-here is a change to the protocol, not a value to update.
+A fixed seed must give byte-identical wire frames and files, so a hash
+that changes here is a change to a format, not a value to update.
 """
 
 import hashlib
@@ -11,6 +12,9 @@ import socket
 import numpy as np
 import pytest
 
+from sigfuse.data import (Dataset, FeatureBank, SyntheticSpec, ViewSpec, bank_to_bytes,
+                          format_attr_file, format_split_file, load_bank, save_bank,
+                          synth_generate)
 from sigfuse.model import PROFILES, build_net
 from sigfuse.nn import make_rng
 from sigfuse.protocol import SignatureServer, client_query, encode_request
@@ -116,3 +120,61 @@ class TestWireGolden:
             feats = {k: rng.standard_normal(net.kind_by_name(k).input_dim) for k in mask}
             scores.append(client_query(feats, mask, net, server.endpoint).tobytes())
         assert sha256(b"".join(scores)) == CLIENT_SCORES_SHA256
+
+
+# synth_generate(SYNTH_SPEC): attrs.txt, partition.txt and each bank's FBNK bytes
+SYNTH_SPEC = SyntheticSpec(latent_dim=8, views=(ViewSpec("fv", 24, 0.1), ViewSpec("cnn", 16, 0.2),
+                                                ViewSpec("lbp", 12, 0.4)),
+                           n_attributes=8, n_train=300, n_val=100, n_test=100, seed=5)
+SYNTH_ATTRS = "465f460f09b5b330bfb147984711928ac1151f37b78748ae244f5f691fad97d4"
+SYNTH_SPLIT = "bea34f94846b927b1d5c27d2b899b9ab4a341290435a0c1e112dfef56fa214df"
+SYNTH_BANKS = {
+    "fv": "4942d09fc1ab411cd2761c4834400f9a2f792ef1d0b78c4f82d66128ca1ca1e2",
+    "cnn": "cbb1fe41f6a29ba683d85a4cccec9f42c2ae338d8487e8ef82dba46a0f29f950",
+    "lbp": "77b41eb5144dde7cda503e767e2474d39d75d995f2e320fb2f88f7664ef91d91",
+}
+# Dataset.arrays(split) on the synthetic data: ids, each kind's matrix, labels
+SYNTH_STACKED = {
+    "train": "f083f3868e22ff4d3c695088e0ccaa8c96bd48b1f5f74f3cefe29b180c32cc56",
+    "val": "32eceaba2108edfa0e75cb7b84e6f0d9dd3e7cb088c457fc638efb1ceca67b6f",
+    "test": "804138151fba98edae1ed750eb2cb76e4ee3492f165248f7932581426343d9b1",
+}
+# a bank filled through `add`, before and after a save_bank -> load_bank trip
+ADDED_IDS = ["a", "", "synth_000001", "é", "画像_07", "x" * 300, "mixed-Länge"]
+ADDED_BANK = "9a29e7be9905f4bc1b24c3a1317fbdc5267fdee2dbb4f228337bb6de45eea8c5"
+
+
+def added_bank() -> FeatureBank:
+    bank = FeatureBank("lbp_é", 5, {})
+    for img_id, vec in zip(ADDED_IDS, make_rng(91).standard_normal((len(ADDED_IDS), 5))):
+        bank.add(img_id, vec)
+    return bank
+
+
+class TestDataGolden:
+    @pytest.fixture(scope="class")
+    def synth(self):
+        return synth_generate(SYNTH_SPEC)
+
+    def test_attr_and_split_files(self, synth):
+        table, _ = synth
+        assert sha256(format_attr_file(table).encode()) == SYNTH_ATTRS
+        assert sha256(format_split_file(table.splits).encode()) == SYNTH_SPLIT
+
+    def test_synth_banks(self, synth):
+        _, banks = synth
+        assert {name: sha256(bank_to_bytes(bank)) for name, bank in banks.items()} == SYNTH_BANKS
+
+    @pytest.mark.parametrize("split", sorted(SYNTH_STACKED))
+    def test_stacked_split(self, synth, split):
+        ids, xs, y = Dataset(*synth).arrays(split)
+        stacked = [("\n".join(ids)).encode(), *(x.tobytes() for x in xs.values()), y.tobytes()]
+        assert sha256(b"".join(stacked)) == SYNTH_STACKED[split]
+
+    def test_added_bank_and_its_round_trip(self, tmp_path):
+        bank = added_bank()
+        assert sha256(bank_to_bytes(bank)) == ADDED_BANK
+        save_bank(bank, tmp_path / "b.fbnk")
+        again = load_bank(tmp_path / "b.fbnk")
+        assert list(again.entries) == ADDED_IDS
+        assert sha256(bank_to_bytes(again)) == ADDED_BANK

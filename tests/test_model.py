@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sigfuse.model import (PROFILES, BranchParams, FeatureKind, HybridNet,
-                           ModelFormatError, TrunkParams, bits_to_mask,
+from sigfuse.model import (MAX_KINDS, PROFILES, BranchParams, FeatureKind, HybridNet,
+                           ModelFormatError, TrunkParams, add_branch, bits_to_mask,
                            branch_forward, build_net, encode_signature,
                            group_bytes, load_model,
                            mask_to_bits, merge_sum, model_from_bytes,
@@ -285,6 +285,25 @@ class TestMaskBits:
         bits = mask_to_bits(["fv", "lbp"], net)
         assert bits == 0b101
         assert bits_to_mask(bits, net) == ["fv", "lbp"]
+
+
+class TestKindLimit:
+    """The request mask byte has one bit per kind, so a net holds 8."""
+
+    def test_eight_kinds_fill_the_mask_byte(self):
+        net = build_net([(f"k{i}", 2) for i in range(MAX_KINDS)], DESK, seed=0)
+        assert MAX_KINDS == 8 and mask_to_bits(net.kind_names(), net) == 0xFF
+
+    def test_build_net_refuses_a_ninth_kind(self):
+        with pytest.raises(ValueError, match="at most 8 feature kinds.*got 9"):
+            build_net([(f"k{i}", 2) for i in range(9)], DESK, seed=0)
+
+    def test_add_branch_refuses_a_ninth_kind(self):
+        net = build_net([(f"k{i}", 2) for i in range(8)], DESK, seed=0)
+        with pytest.raises(ValueError, match="at most 8 feature kinds.*got 9"):
+            add_branch(net, "k8", 2, DESK, seed=0)
+        assert net.kind_names() == [f"k{i}" for i in range(8)]
+        add_branch(build_net([("a", 2)], DESK, seed=0), "b", 3, DESK, seed=0)
 
 
 class TestSerialization:

@@ -209,6 +209,31 @@ class TestServer:
             t.join()
         assert all(r == expected for r in results)
 
+    def test_a_burst_of_64_connects_is_answered(self, server):
+        """64 clients connect at once; each gets its reply, none is dropped
+        from the listen backlog."""
+        assert server.request_queue_size == socket.SOMAXCONN
+        sigs = make_rng(37).standard_normal((64, server.net.signature_dim))
+        frames = [encode_request(sig, 1 + i % 7) for i, sig in enumerate(sigs)]
+        expected = [raw_exchange(server.endpoint, f) for f in frames]
+        results = [None] * 64
+        start = threading.Barrier(64, timeout=10)
+
+        def worker(i):
+            start.wait()
+            try:
+                results[i] = raw_exchange(server.endpoint, frames[i])
+            except OSError as exc:
+                results[i] = exc
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(64)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert results == expected
+
 
 class TestReadDeadline:
     """A client that stalls mid-frame or between frames is disconnected
