@@ -11,6 +11,12 @@ import io
 import struct
 
 
+def write_header(out, magic: bytes, version: int):
+    """The magic bytes, then the u16 format version."""
+    out.write(magic)
+    out.write(struct.pack("<H", version))
+
+
 def write_str(out, s: str):
     raw = s.encode("utf-8")
     out.write(struct.pack("<H", len(raw)))
@@ -49,6 +55,14 @@ class Reader:
         """Fill the writable buffer `buf` (a numpy array, say) completely."""
         if self.stream.readinto(buf) != memoryview(buf).nbytes:
             raise self.truncated()
+
+    def header(self, magic: bytes, version: int):
+        """Check the magic and u16 version that `write_header` wrote."""
+        if self.take(len(magic)) != magic:
+            raise self.error(f"bad {self.what} magic")
+        (found,) = self.unpack("<H")
+        if found != version:
+            raise self.error(f"unsupported {self.what} version {found}")
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))

@@ -97,8 +97,7 @@ def load_dataset(attrs_path, split_path, bank_paths: dict[str, str]) -> Dataset:
 # train
 # ---------------------------------------------------------------------------
 
-_TRAIN_KEYS = ("regime", "profile", "seed", "lr", "batch_size", "epochs",
-               "momentum", "weight_decay")
+_TRAIN_KEYS = ("regime", "profile", *(f.name for f in dataclasses.fields(TrainConfig)))
 
 
 def _read_json_object(path, what: str) -> dict:
@@ -146,9 +145,9 @@ def _flag_config(args) -> dict:
     return resolved
 
 
-def _resolve_train_config(args) -> dict:
-    """A replayed manifest's config, else the one the flags resolve to;
-    either way, checked before any data is read."""
+def _resolve_train_config(args) -> tuple[dict, TrainConfig, list]:
+    """A replayed manifest's config, else the one the flags resolve to, with
+    its `TrainConfig` and stages; all of it checked before any data is read."""
     resolved = _manifest_config(args.from_manifest) if args.from_manifest else _flag_config(args)
     if not resolved.get("regime"):
         raise UsageError("--regime is required")
@@ -166,31 +165,18 @@ def _resolve_train_config(args) -> dict:
                          f"{MAX_KINDS}")
     if resolved["profile"] not in PROFILES:
         raise UsageError(f"unknown profile {resolved['profile']!r}")
-    for key in ("seed", "epochs", "batch_size", "lr", "momentum", "weight_decay"):
-        value, whole = resolved[key], key in ("seed", "epochs", "batch_size")
-        # bool is an int subclass: JSON true/false must not pass as 1/0
-        if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
-            raise UsageError(f"config {key} must be {'an integer' if whole else 'a number'}, "
-                             f"got {value!r}")
-        if not whole:
-            try:
-                float(value)
-            except OverflowError:
-                raise UsageError(f"config {key} must be a number within float range, "
-                                 f"got an integer of {len(str(abs(value)))} digits")
-    return resolved
-
-def cmd_train(args) -> int:
-    cfg_map = _resolve_train_config(args)
-    dataset = load_dataset(cfg_map["attrs"], cfg_map["split"], cfg_map["banks"])
     try:
-        cfg = TrainConfig(lr=cfg_map["lr"], batch_size=cfg_map["batch_size"],
-                          epochs=cfg_map["epochs"], seed=cfg_map["seed"],
-                          momentum=cfg_map["momentum"],
-                          weight_decay=cfg_map["weight_decay"])
-        stages = regime_schedule(cfg_map["regime"], list(dataset.banks))
+        cfg = TrainConfig(**{f.name: resolved[f.name] for f in dataclasses.fields(TrainConfig)})
+        # the dataset's kinds are the bank names, in this order
+        stages = regime_schedule(resolved["regime"], list(banks))
     except ValueError as exc:
         raise UsageError(str(exc))
+    return resolved, cfg, stages
+
+
+def cmd_train(args) -> int:
+    cfg_map, cfg, stages = _resolve_train_config(args)
+    dataset = load_dataset(cfg_map["attrs"], cfg_map["split"], cfg_map["banks"])
     # a ValueError while training (a diverged net) is a runtime error; a val
     # split without examples or positives fails first, as a data error
     result = run_schedule(stages, dataset, cfg, PROFILES[cfg_map["profile"]])
@@ -248,22 +234,18 @@ def cmd_extract_lbp(args) -> int:
     paths = sorted(image_dir.glob("*.pgm"))
     if not paths:
         raise DataFormatError(f"no .pgm images in {image_dir}")
-    shape = None
-    vectors = {}
+    bank = None
     for path in paths:
         img = data_mod.read_pgm(path)
-        if shape is None:
+        if bank is None:
             shape = img.shape
+            bank = data_mod.FeatureBank(args.kind, data_mod.lbp_dim(*shape, args.cell_size))
         elif img.shape != shape:
             raise DataFormatError(f"{path.name} is {img.shape}, expected {shape} "
                                   "(all images must share one size)")
-        vectors[path.stem] = data_mod.lbp_extract(img, args.cell_size)
-    dim = data_mod.lbp_dim(shape[0], shape[1], args.cell_size)
-    bank = data_mod.FeatureBank(args.kind, dim, {})
-    for img_id, vec in vectors.items():
-        bank.add(img_id, vec)
+        bank.add(path.stem, data_mod.lbp_extract(img, args.cell_size))
     _atomic_write(args.out, data_mod.bank_to_bytes(bank))
-    print(f"wrote {args.out}: {len(bank.entries)} images, dim {dim}")
+    print(f"wrote {args.out}: {len(bank.entries)} images, dim {bank.dim}")
     return EXIT_OK
 
 

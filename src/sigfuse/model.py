@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binfmt import Reader, write_str
+from .binfmt import Reader, write_header, write_str
 from .nn import (DenseLayer, LayerGrad, ShapeError, bce_loss_batch,
                  dense_backward, dense_forward, init_dense, make_rng, relu,
                  sigmoid)
@@ -384,8 +384,7 @@ def _read_layer(rd: Reader, chunk: np.ndarray) -> DenseLayer:
 
 def write_model(buf, net: HybridNet):
     """Write the HNET encoding of `net` to `buf`, anything with `write`."""
-    buf.write(MODEL_MAGIC)
-    buf.write(struct.pack("<H", MODEL_VERSION))
+    write_header(buf, MODEL_MAGIC, MODEL_VERSION)
     buf.write(struct.pack("<I", len(net.kinds)))
     for k in net.kinds:
         write_str(buf, k.name)
@@ -400,11 +399,7 @@ def _read_model(stream) -> HybridNet:
     """Read one HNET model from a seekable binary stream that holds it to
     the end: a `BytesIO` or an open file."""
     rd = Reader(stream, ModelFormatError, "model")
-    if rd.take(4) != MODEL_MAGIC:
-        raise ModelFormatError("bad model magic")
-    (version,) = rd.unpack("<H")
-    if version != MODEL_VERSION:
-        raise ModelFormatError(f"unsupported model version {version}")
+    rd.header(MODEL_MAGIC, MODEL_VERSION)
     (n_kinds,) = rd.unpack("<I")
     kinds = []
     for i in range(n_kinds):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +39,21 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch size and epochs must be >= 1")
+        # seed first: of several bad values, the first in this order is reported
+        for name, least in (("seed", 0), ("epochs", 1), ("batch_size", 1)):
+            value = getattr(self, name)
+            # bool is an int subclass: JSON true/false must not pass as 1/0
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"config {name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"config {name} must be >= {least}, got {value}")
         for name in ("lr", "momentum", "weight_decay"):
             value = getattr(self, name)
-            # NaN fails every comparison, so `value < 0` alone would let it through
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"config {name} must be a number, got {value!r}")
+            # NaN fails every comparison, and an int beyond float range the upper one
+            if not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"config {name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -539,3 +539,65 @@ class TestFinalGuard:
         captured = capsys.readouterr()
         assert captured.err == line + "\n"
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestRefusedBeforeAnyRead:
+    """Every train setting and the regime are checked before any file is
+    read: the data paths here do not exist, and reading one fails."""
+
+    @pytest.mark.parametrize("regime, extra, env, named", [
+        ("allfeat", ("--lr", "nan"), None, "config lr must be finite"),
+        ("allfeat", ("--batch-size", "0"), None, "config batch_size must be >= 1"),
+        ("allfeat", ("--seed", "-1"), None, "config seed must be >= 0"),
+        ("allfeat", (), "-1", "config seed must be >= 0"),
+        ("nope", (), None, "unknown regime 'nope'"),
+        ("dedicated:zz", (), None, "no bank for kind 'zz'"),
+    ])
+    def test_usage_error(self, tmp_path, monkeypatch, capsys, regime, extra, env, named):
+        import sigfuse.cli as cli
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("data was read"))
+        args = train_args(tmp_path / "absent", tmp_path / "m.hnet", regime, extra)
+        if env is not None:
+            monkeypatch.setenv("SIGFUSE_SEED", env)
+            del args[args.index("--seed"):args.index("--seed") + 2]
+        assert run(args) == 2
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_synth_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["synth", "--out-dir", str(out), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFiniteBankVector:
+    """A bank file holding a NaN vector is a data error (exit 3), blamed
+    on the data, whether it is read to train or to evaluate."""
+
+    @staticmethod
+    def poison(path, img_id):
+        from sigfuse.data import bank_to_bytes
+        bank = load_bank(path)
+        bank.matrix = bank.matrix.copy()
+        bank.matrix[bank.rows[img_id], 0] = np.nan
+        path.write_bytes(bank_to_bytes(bank))
+
+    def test_train(self, synth_dir, tmp_path, capsys):
+        self.poison(synth_dir / "cnn.fbnk", "synth_000000")  # a train example
+        out = tmp_path / "m.hnet"
+        assert run(train_args(synth_dir, out, "allfeat")) == 3
+        assert "entry 'synth_000000' contains non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval(self, synth_dir, tmp_path, capsys):
+        model = tmp_path / "m.hnet"
+        assert run(train_args(synth_dir, model, "allfeat", extra=("--epochs", "1"))) == 0
+        self.poison(synth_dir / "lbp.fbnk", "synth_000199")  # a test example
+        prefix = tmp_path / "report"
+        assert run(["eval", "--model", str(model), "--attrs", str(synth_dir / "attrs.txt"),
+                    "--split-file", str(synth_dir / "partition.txt"),
+                    *(f"--bank={k}={synth_dir / k}.fbnk" for k in ("fv", "cnn", "lbp")),
+                    "--out-prefix", str(prefix)]) == 3
+        assert "entry 'synth_000199' contains non-finite values" in capsys.readouterr().err
+        assert not prefix.with_suffix(".csv").exists()

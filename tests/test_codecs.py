@@ -277,3 +277,30 @@ class TestHnetGuards:
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
+
+
+class TestNonFiniteBank:
+    """Every vector in a bank is finite: a file holding a NaN or inf vector
+    is a data error naming its id, and `entries[id] = v` refuses one as
+    `add` does."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_load_names_the_first_bad_id(self, value):
+        bank = small_bank()
+        data = bytearray(bank_to_bytes(bank))
+        for img_id in ("é", "bb"):
+            at = data.index(bank.entries[img_id].tobytes())
+            data[at + 4:at + 8] = np.float32(value).tobytes()
+        with pytest.raises(DataFormatError, match="entry 'bb' contains non-finite values"):
+            bank_from_bytes(bytes(data))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_set_refused_like_add(self, value):
+        bank = small_bank()
+        kept = bank.entries["bb"].copy()
+        vec = np.array([0.0, value, 1.0])
+        with pytest.raises(ValueError, match="entry 'bb' contains non-finite values"):
+            bank.entries["bb"] = vec
+        with pytest.raises(ValueError, match="entry 'x' contains non-finite values"):
+            bank.add("x", vec)
+        assert bank.entries["bb"].tobytes() == kept.tobytes() and "x" not in bank.entries

@@ -494,3 +494,26 @@ class TestConfigValues:
     def test_non_finite_or_negative_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+
+class TestConfigTypes:
+    """`TrainConfig` is the one check of every train setting: seed, epochs
+    and batch_size are integers, lr, momentum and weight_decay numbers (a
+    bool is neither), and an int beyond float range is not finite."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", True), ("seed", False), ("momentum", True), ("seed", "1"),
+        ("batch_size", 2.5), ("epochs", None), ("lr", "0.1"), ("seed", -1),
+        ("epochs", 0), pytest.param("lr", 10 ** 400, id="lr-int-beyond-float"),
+        pytest.param("weight_decay", -10 ** 400, id="wd-int-below-float")])
+    def test_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^config {field} must be "):
+            TrainConfig(**{field: value})
+
+    def test_seed_reported_first(self):
+        with pytest.raises(ValueError, match="^config seed "):
+            TrainConfig(lr=float("nan"), batch_size=0, epochs=True, seed=-1)
+
+    def test_edge_values_accepted(self):
+        cfg = TrainConfig(lr=1, batch_size=1, epochs=1, seed=0, momentum=0, weight_decay=0.0)
+        assert (cfg.lr, cfg.seed) == (1, 0)
