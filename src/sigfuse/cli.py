@@ -275,9 +275,9 @@ def cmd_synth(args) -> int:
                              n_attributes=args.attributes, n_train=args.train_count,
                              n_val=args.val_count, n_test=args.test_count,
                              seed=args.seed)
+        table, banks = data_mod.synth_generate(spec)  # a view beyond float32 is a ValueError
     except ValueError as exc:
         raise UsageError(str(exc))
-    table, banks = data_mod.synth_generate(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "attrs.txt", format_attr_file(table).encode())

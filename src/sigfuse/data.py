@@ -164,22 +164,24 @@ class FeatureBank:
         if matrix.shape != (len(values), dim):
             raise ValueError(f"bank entries of shape {matrix.shape[1:]}, bank dim is {dim}")
         self.kind_name, self.dim = kind_name, dim
-        self.matrix = matrix
-        self.rows: dict[str, int] = dict(zip(entries or (), range(len(values))))
-        self._free = len(values)  # the first row no id has used
+        self._adopt(matrix, dict(zip(entries or (), range(len(values)))))
 
     @classmethod
     def from_matrix(cls, kind_name: str, matrix: np.ndarray,
                     rows: dict[str, int]) -> FeatureBank:
         """A bank over a (count, dim) `<f4` matrix as it is, whose row
         `rows[id]` is that id's vector; every value must be finite."""
+        bank = cls(kind_name, matrix.shape[1])
+        bank._adopt(matrix, rows)
+        return bank
+
+    def _adopt(self, matrix: np.ndarray, rows: dict[str, int]):
         finite = np.isfinite(matrix)
         if not finite.all():  # one flat pass; a per-row `all` is ~10x slower on narrow banks
             bad = next(img_id for img_id, row in rows.items() if not finite[row].all())
             raise ValueError(f"entry {bad!r} contains non-finite values")
-        bank = cls(kind_name, matrix.shape[1])
-        bank.matrix, bank.rows, bank._free = matrix, rows, len(matrix)
-        return bank
+        self.matrix, self.rows = matrix, rows
+        self._free = len(matrix)  # the first row no id has used
 
     @property
     def entries(self) -> MutableMapping:
@@ -526,10 +528,16 @@ def synth_generate(spec: SyntheticSpec) -> tuple[AttributeTable, dict[str, Featu
         mixing = make_rng(spec.seed, _TAG_MIXING, vi).standard_normal(
             (spec.latent_dim, view.dim)) / np.sqrt(spec.latent_dim)
         obs = z @ mixing
-        if view.noise > 0:
-            obs = obs + view.noise * make_rng(spec.seed, _TAG_NOISE, vi).standard_normal(obs.shape)
-        banks[view.name] = FeatureBank.from_matrix(view.name, obs.astype(np.float32),
-                                                   dict(zip(ids, range(n))))
+        with np.errstate(over="ignore"):  # an overflow is an inf, refused below
+            if view.noise > 0:
+                obs = obs + view.noise * make_rng(spec.seed, _TAG_NOISE, vi).standard_normal(
+                    obs.shape)
+            obs = obs.astype(np.float32)
+        try:
+            banks[view.name] = FeatureBank.from_matrix(view.name, obs, dict(zip(ids, range(n))))
+        except ValueError:  # z @ mixing is small: only the noise can overflow
+            raise ValueError(f"view {view.name!r} noise {view.noise:g} takes values "
+                             f"beyond float32 range") from None
     return table, banks
 
 

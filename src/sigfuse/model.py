@@ -351,19 +351,25 @@ def _write_matrix(buf, m: np.ndarray, chunk: np.ndarray):
         buf.write(part)
 
 
-def _read_matrix(rd: Reader, chunk: np.ndarray) -> np.ndarray:
+def _read_matrix(rd: Reader, chunk: np.ndarray,
+                 keep: bool = True) -> tuple[tuple[int, int], np.ndarray | None]:
+    """The next matrix's shape and its float64 copy. A matrix not kept is
+    still read, chunk by chunk, and checked for non-finite values, but no
+    copy is made: its place in the result is None."""
     rows, cols = rd.unpack("<II")
     if rows * cols > 1 << 28:
         raise ModelFormatError(f"matrix {rows}x{cols} exceeds size limit")
     if 4 * rows * cols > rd.remaining():
         raise rd.truncated()
-    m = np.empty((rows, cols))
-    flat = m.reshape(-1)
-    for start in range(0, flat.size, chunk.size):
-        part = chunk[:flat.size - start]
+    m = np.empty((rows, cols)) if keep else None
+    for start in range(0, rows * cols, chunk.size):
+        part = chunk[:rows * cols - start]
         rd.fill(part)
-        flat[start:start + part.size] = part
-    return m
+        if keep:
+            m.reshape(-1)[start:start + part.size] = part
+        elif not np.isfinite(part).all():
+            raise ModelFormatError("layer parameters must be finite")
+    return (rows, cols), m
 
 
 def _write_layer(buf, layer: DenseLayer, chunk: np.ndarray):
@@ -371,14 +377,23 @@ def _write_layer(buf, layer: DenseLayer, chunk: np.ndarray):
     _write_matrix(buf, layer.bias, chunk)
 
 
-def _read_layer(rd: Reader, chunk: np.ndarray) -> DenseLayer:
-    w = _read_matrix(rd, chunk)
-    b = _read_matrix(rd, chunk)
-    if b.shape[0] != 1:
+def _read_layer(rd: Reader, chunk: np.ndarray, name: str, in_dim: int | None,
+                keep: bool = True) -> tuple[DenseLayer | None, int]:
+    """The next layer, None when not kept, and its output width. The layer
+    must take `in_dim` inputs (any, if None); `name` names it in errors."""
+    (rows, cols), w = _read_matrix(rd, chunk, keep)
+    (b_rows, b_cols), b = _read_matrix(rd, chunk, keep)
+    if b_rows != 1:
         raise ModelFormatError("bias must be a single row")
+    if b_cols != cols:
+        raise ModelFormatError(f"bias length {b_cols} does not match weight columns {cols}")
+    if in_dim is not None and rows != in_dim:
+        raise ModelFormatError(f"{name} takes {rows} inputs, expected {in_dim}")
+    if not keep:
+        return None, cols
     try:
-        return DenseLayer(w, b[0])
-    except ValueError as exc:  # a shape mismatch or a non-finite value
+        return DenseLayer(w, b[0]), cols
+    except ValueError as exc:  # a non-finite value
         raise ModelFormatError(str(exc)) from exc
 
 
@@ -395,9 +410,12 @@ def write_model(buf, net: HybridNet):
             _write_layer(buf, layer, chunk)
 
 
-def _read_model(stream) -> HybridNet:
+def _read_model(stream, keep_branches: bool = True) -> HybridNet:
     """Read one HNET model from a seekable binary stream that holds it to
-    the end: a `BytesIO` or an open file."""
+    the end: a `BytesIO` or an open file. Every layer must fit the next:
+    kind dim -> layer 1 -> layer 2 -> trunk layer 3 -> layer 4 -> out.
+    Without `keep_branches` the branch bytes are read and checked all the
+    same, but the net holds only the trunk: no kinds and no branches."""
     rd = Reader(stream, ModelFormatError, "model")
     rd.header(MODEL_MAGIC, MODEL_VERSION)
     (n_kinds,) = rd.unpack("<I")
@@ -407,11 +425,25 @@ def _read_model(stream) -> HybridNet:
         (dim,) = rd.unpack("<I")
         kinds.append(FeatureKind(i, name, dim))
     chunk = np.empty(_CHUNK, dtype="<f4")
-    branches = [BranchParams(_read_layer(rd, chunk), _read_layer(rd, chunk)) for _ in kinds]
-    trunk = TrunkParams(*(_read_layer(rd, chunk) for _ in range(3)))
+    branches, sig_dim = [], None
+    for k in kinds:
+        l1, width = _read_layer(rd, chunk, f"kind {k.name!r} layer 1", k.input_dim,
+                                keep_branches)
+        l2, width = _read_layer(rd, chunk, f"kind {k.name!r} layer 2", width, keep_branches)
+        if sig_dim is not None and width != sig_dim:
+            raise ModelFormatError(f"kind {k.name!r} layer 2 gives {width} outputs, "
+                                   f"kind {kinds[0].name!r} gives {sig_dim}")
+        sig_dim = width
+        branches.append(BranchParams(l1, l2))
+    trunk = []
+    for name in ("layer 3", "layer 4", "out layer"):
+        layer, sig_dim = _read_layer(rd, chunk, f"trunk {name}", sig_dim)
+        trunk.append(layer)
     if rd.remaining():
         raise ModelFormatError("trailing bytes after model data")
-    return HybridNet(kinds, branches, trunk)
+    if not keep_branches:
+        kinds, branches = [], []
+    return HybridNet(kinds, branches, TrunkParams(*trunk))
 
 
 def model_to_bytes(net: HybridNet) -> bytes:
@@ -439,8 +471,18 @@ def save_model(net: HybridNet, path):
         write_model(fh, net)
 
 
-def load_model(path) -> HybridNet:
-    """Read an HNET file matrix by matrix, never holding the whole file
-    (a pipe, which cannot tell its size, is read whole first)."""
+def _load(path, keep_branches: bool) -> HybridNet:
+    # a pipe, which cannot tell its size, is read whole first
     with open(path, "rb") as fh:
-        return _read_model(fh if fh.seekable() else io.BytesIO(fh.read()))
+        return _read_model(fh if fh.seekable() else io.BytesIO(fh.read()), keep_branches)
+
+
+def load_model(path) -> HybridNet:
+    """Read an HNET file matrix by matrix, never holding the whole file."""
+    return _load(path, True)
+
+
+def load_trunk(path) -> HybridNet:
+    """Read an HNET file as `load_model` does, with every check on every
+    byte, but keep only the trunk: all a signature server scores with."""
+    return _load(path, False)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (HybridNet, encode_signature, load_model, mask_to_bits,
+from .model import (HybridNet, encode_signature, load_trunk, mask_to_bits,
                     trunk_forward)
 
 REQUEST_MAGIC = b"UFSG"
@@ -231,13 +231,15 @@ def _pin_blas_to_one_thread() -> str:
 
 
 def serve(model_path, host: str = "127.0.0.1", port: int = 0) -> SignatureServer:
-    """Start a serving process's server: load the model, run BLAS on one
-    thread and bind. Requests already run concurrently, one handler thread
-    each, so a 1-row trunk matvec spread over more BLAS threads only takes
-    cores from the other requests. The BLAS line goes to stderr.
+    """Start a serving process's server: load the model's trunk, run BLAS
+    on one thread and bind. The branch bytes are read and checked but not
+    kept: clients run the branches, the server only the trunk. Requests
+    already run concurrently, one handler thread each, so a 1-row trunk
+    matvec spread over more BLAS threads only takes cores from the other
+    requests. The BLAS line goes to stderr.
     `SignatureServer` itself leaves the process's BLAS threads alone.
     """
-    net = load_model(model_path)
+    net = load_trunk(model_path)
     print(_pin_blas_to_one_thread(), file=sys.stderr, flush=True)
     return SignatureServer(net, host, port)
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -601,3 +602,24 @@ class TestNonFiniteBankVector:
                     "--out-prefix", str(prefix)]) == 3
         assert "entry 'synth_000199' contains non-finite values" in capsys.readouterr().err
         assert not prefix.with_suffix(".csv").exists()
+
+
+class TestSynthNoiseBeyondFloat32:
+    """A view noise whose values do not fit float32 is a usage error that
+    names the view and its noise, with no numpy warning and no file."""
+
+    @pytest.mark.parametrize("noise", ["1e300", "1.7e308"])
+    def test_usage_error(self, tmp_path, capsys, noise):
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would make this exit 4
+            code = run(["synth", "--out-dir", str(out), "--view", "cnn:4:0.1",
+                        "--view", f"fv:10:{noise}"])
+        assert code == 2
+        assert (f"usage error: view 'fv' noise {float(noise):g} takes values beyond "
+                "float32 range") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_noise_that_fits(self, tmp_path):
+        assert run(["synth", "--out-dir", str(tmp_path / "x"), "--view", "fv:10:1e30",
+                    "--train-count", "8", "--val-count", "4", "--test-count", "4"]) == 0

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sigfuse import cli, protocol
 from sigfuse.cli import main
 from sigfuse.data import (DataFormatError, FeatureBank, bank_from_bytes,
                           bank_to_bytes, load_bank)
-from sigfuse.model import (PROFILES, ModelFormatError, build_net, load_model,
+from sigfuse.model import (_CHUNK, PROFILES, FeatureKind, ModelFormatError, Profile,
+                           build_net, group_bytes, load_model, load_trunk,
                            model_from_bytes, model_to_bytes)
-from sigfuse.nn import make_rng
+from sigfuse.nn import DenseLayer, make_rng
 
 
 def ref_bank_to_bytes(bank):
@@ -304,3 +306,183 @@ class TestNonFiniteBank:
         with pytest.raises(ValueError, match="entry 'x' contains non-finite values"):
             bank.add("x", vec)
         assert bank.entries["bb"].tobytes() == kept.tobytes() and "x" not in bank.entries
+
+
+class TestNonFiniteBankEntries:
+    """The constructor refuses a non-finite vector as `from_matrix` does,
+    so no bank that `save_bank` writes is one `load_bank` refuses."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_constructor_names_the_first_bad_id(self, value):
+        with pytest.raises(ValueError, match="entry 'b' contains non-finite values"):
+            FeatureBank("k", 2, {"a": [0.0, 1.0], "b": [value, 0.0], "c": [value, value]})
+
+
+WIDE = Profile(512, 128, 64, 64, 8)
+
+
+@pytest.fixture(scope="module")
+def wide_hnet(tmp_path_factory):
+    """A net whose fv layer 1 (4096 x 512) spans 32 f4 chunks."""
+    path = tmp_path_factory.mktemp("wide") / "wide.hnet"
+    path.write_bytes(model_to_bytes(build_net([("fv", 4096), ("cnn", 1024)], WIDE, seed=4)))
+    return path
+
+
+def nan_at(data, index):
+    """`data` with the weight at `index` of its first matrix made NaN."""
+    data = bytearray(data)
+    at = first_matrix_at(data) + 8 + 4 * index
+    data[at:at + 4] = np.float32(np.nan).tobytes()
+    return bytes(data)
+
+
+class TestTrunkOnlyLoad:
+    """`load_trunk` keeps the trunk of `load_model` bit for bit, holds no
+    branch, and refuses every file `load_model` refuses."""
+
+    def test_trunk_bytes_match_the_full_load(self, wide_hnet):
+        full, trunk = load_model(wide_hnet), load_trunk(wide_hnet)
+        assert 4096 * 512 > _CHUNK
+        assert group_bytes(trunk, "trunk") == group_bytes(full, "trunk")
+        assert trunk.kinds == [] and trunk.branches == []
+        assert trunk.signature_dim == full.signature_dim == 128
+        assert trunk.n_outputs == 8
+
+    def test_branches_are_never_held(self, wide_hnet):
+        tracemalloc.start()
+        try:
+            load_trunk(wide_hnet)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the branches are 21 MB of float64
+
+    def test_cut_everywhere(self, tmp_path):
+        data = desk_hnet()
+        path = tmp_path / "cut.hnet"
+        path.write_bytes(data)
+        for cut in reversed(range(len(data))):
+            os.truncate(path, cut)
+            with pytest.raises(ModelFormatError):
+                load_trunk(path)
+
+    @pytest.mark.parametrize("index", [5, _CHUNK + 7, 4096 * 512 - 1])
+    def test_non_finite_branch_weight(self, wide_hnet, tmp_path, index):
+        path = tmp_path / "nan.hnet"
+        path.write_bytes(nan_at(wide_hnet.read_bytes(), index))
+        for load in (load_model, load_trunk):
+            with pytest.raises(ModelFormatError, match="must be finite"):
+                load(path)
+
+
+def _dense(rows, cols):
+    return DenseLayer(np.zeros((rows, cols)), np.zeros(cols))
+
+
+# each link of kind dim -> layer 1 -> layer 2 -> trunk layer 3 -> layer 4
+# -> out, broken by layers that are each valid, and the error that names it
+UNCHAINED = {
+    "kind dim": "kind 'fv' layer 1 takes 5 inputs, expected 6",
+    "layer 1": "kind 'fv' layer 2 takes 65 inputs, expected 64",
+    "branch widths": "kind 'cnn' layer 2 gives 31 outputs, kind 'fv' gives 32",
+    "layer 2": "trunk layer 3 takes 32 inputs, expected 31",
+    "layer 3": "trunk layer 4 takes 33 inputs, expected 32",
+    "layer 4": "trunk out layer takes 31 inputs, expected 32",
+}
+
+
+def unchained_hnet(link):
+    net = build_net([("fv", 5), ("cnn", 3)], PROFILES["desk"], seed=2)
+    fv, cnn = net.branches
+    if link == "kind dim":
+        net.kinds[0] = FeatureKind(0, "fv", 6)
+    elif link == "layer 1":
+        fv.layer2 = _dense(65, 32)
+    elif link == "branch widths":
+        cnn.layer2 = _dense(64, 31)
+    elif link == "layer 2":
+        fv.layer2 = cnn.layer2 = _dense(64, 31)
+    elif link == "layer 3":
+        net.trunk.layer4 = _dense(33, 32)
+    else:
+        net.trunk.out = _dense(31, 8)
+    return model_to_bytes(net)
+
+
+class TestUnchainedLayers:
+    """Every layer must fit the next; a file whose layers do not is a
+    format error naming the kind or layer, whether its branches are kept
+    or only checked."""
+
+    @pytest.mark.parametrize("link", sorted(UNCHAINED))
+    def test_refused(self, tmp_path, link):
+        path = tmp_path / "bad.hnet"
+        path.write_bytes(unchained_hnet(link))
+        for load in (load_model, load_trunk):
+            with pytest.raises(ModelFormatError, match=UNCHAINED[link]):
+                load(path)
+
+
+def two_chunk_hnet():
+    """A desk net whose fv layer 1 (1200 x 64) spans two f4 chunks."""
+    return model_to_bytes(build_net([("fv", 1200), ("cnn", 3)], PROFILES["desk"], seed=1))
+
+
+# a corrupt copy of `two_chunk_hnet()`, and what `serve` must say of it
+CORRUPT = {
+    "nan in the first chunk": (lambda d: nan_at(d, 5), "layer parameters must be finite"),
+    "nan past the first chunk": (lambda d: nan_at(d, _CHUNK + 7),
+                                 "layer parameters must be finite"),
+    "cut inside a branch": (lambda d: d[:first_matrix_at(d) + 8 + 4 * 100],
+                            "truncated model file"),
+    "trailing bytes": (lambda d: d + b"\0", "trailing bytes after model data"),
+    "bad magic": (lambda d: b"HNEX" + d[4:], "bad model magic"),
+}
+
+
+class TestServeRefusesCorruptModels:
+    """`sigfuse serve` reads every byte of the model, branches included,
+    so a corrupt file is a data error (exit 3) before anything binds."""
+
+    @pytest.fixture(autouse=True)
+    def loaded(self, monkeypatch):
+        """The nets `serve` loaded: one that loads fails the test with exit
+        4 rather than serving forever, and the test process's BLAS threads
+        are left alone."""
+        nets = []
+
+        def load_then_stop(*args):
+            server = protocol.serve(*args)
+            server.server_close()
+            nets.append(server.net)
+            raise RuntimeError("the model loaded")
+        monkeypatch.setattr(cli, "serve", load_then_stop)
+        monkeypatch.setattr(protocol, "_pin_blas_to_one_thread", lambda: "blas: left alone")
+        return nets
+
+    def serve_exit(self, data, tmp_path, capsys):
+        path = tmp_path / "bad.hnet"
+        path.write_bytes(data)
+        code = main(["serve", "--model", str(path), "--port", "0"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("corruption", list(CORRUPT))
+    def test_corrupt_file(self, tmp_path, capsys, corruption):
+        corrupt, message = CORRUPT[corruption]
+        code, err = self.serve_exit(corrupt(two_chunk_hnet()), tmp_path, capsys)
+        assert (code, err) == (3, f"data error: {message}\n")
+
+    @pytest.mark.parametrize("link", sorted(UNCHAINED))
+    def test_unchained_layers(self, tmp_path, capsys, link):
+        code, err = self.serve_exit(unchained_hnet(link), tmp_path, capsys)
+        assert (code, err) == (3, f"data error: {UNCHAINED[link]}\n")
+
+    def test_sound_file_loads_only_the_trunk(self, tmp_path, capsys, loaded):
+        data = two_chunk_hnet()
+        assert 1200 * 64 > _CHUNK
+        code, err = self.serve_exit(data, tmp_path, capsys)
+        assert (code, err) == (4, "blas: left alone\nerror: RuntimeError: the model loaded\n")
+        [net] = loaded
+        assert net.branches == [] and net.signature_dim == 32
+        assert group_bytes(net, "trunk") == group_bytes(model_from_bytes(data), "trunk")
