@@ -125,7 +125,7 @@ def _manifest_config(path) -> dict:
 def _flag_config(args) -> dict:
     """Precedence: flags > environment > config file > profile defaults."""
     resolved = dataclasses.asdict(TrainConfig())
-    resolved.update({"regime": None, "profile": "desk", "epochs": 20})
+    resolved.update({"regime": None, "profile": "desk"})
     if args.config:
         resolved.update(_read_json_object(args.config, "config"))
     seed = os.environ.get("SIGFUSE_SEED")

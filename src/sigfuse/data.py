@@ -160,11 +160,12 @@ class FeatureBank:
 
     def __init__(self, kind_name: str, dim: int, entries=None):
         values = list(entries.values()) if entries else []
-        matrix = np.array(values, dtype="<f4") if values else np.empty((0, dim), "<f4")
+        with np.errstate(over="ignore"):  # an overflow is an inf, refused in _adopt
+            matrix = np.array(values, dtype="<f4") if values else np.empty((0, dim), "<f4")
         if matrix.shape != (len(values), dim):
             raise ValueError(f"bank entries of shape {matrix.shape[1:]}, bank dim is {dim}")
         self.kind_name, self.dim = kind_name, dim
-        self._adopt(matrix, dict(zip(entries or (), range(len(values)))))
+        self._adopt(matrix, dict(zip(entries or (), range(len(values)))), values)
 
     @classmethod
     def from_matrix(cls, kind_name: str, matrix: np.ndarray,
@@ -172,14 +173,16 @@ class FeatureBank:
         """A bank over a (count, dim) `<f4` matrix as it is, whose row
         `rows[id]` is that id's vector; every value must be finite."""
         bank = cls(kind_name, matrix.shape[1])
-        bank._adopt(matrix, rows)
+        bank._adopt(matrix, rows, matrix)
         return bank
 
-    def _adopt(self, matrix: np.ndarray, rows: dict[str, int]):
+    def _adopt(self, matrix: np.ndarray, rows: dict[str, int], source):
+        """Take `matrix` and `rows`; `source[row]` is what a row was cast from."""
         finite = np.isfinite(matrix)
         if not finite.all():  # one flat pass; a per-row `all` is ~10x slower on narrow banks
-            bad = next(img_id for img_id, row in rows.items() if not finite[row].all())
-            raise ValueError(f"entry {bad!r} contains non-finite values")
+            bad, row = next((img_id, row) for img_id, row in rows.items()
+                            if not finite[row].all())
+            _refuse(bad, source[row])
         self.matrix, self.rows = matrix, rows
         self._free = len(matrix)  # the first row no id has used
 
@@ -190,15 +193,16 @@ class FeatureBank:
         return _Entries(self)
 
     def add(self, img_id: str, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float32)
-        if values.shape != (self.dim,):
-            raise ValueError(f"entry {img_id!r} has shape {values.shape}, "
+        with np.errstate(over="ignore"):  # an overflow is an inf, refused below
+            cast = np.asarray(values, dtype=np.float32)
+        if cast.shape != (self.dim,):
+            raise ValueError(f"entry {img_id!r} has shape {cast.shape}, "
                              f"bank dim is {self.dim}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"entry {img_id!r} contains non-finite values")
+        if not np.all(np.isfinite(cast)):
+            _refuse(img_id, values)
         if self._free == len(self.matrix):
             self._grow()
-        self.matrix[self._free] = values
+        self.matrix[self._free] = cast
         self.rows[img_id] = self._free
         self._free += 1
 
@@ -211,6 +215,14 @@ class FeatureBank:
         for row, img_id in enumerate(self.rows):
             self.rows[img_id] = row
         self.matrix, self._free = matrix, len(live)
+
+
+def _refuse(img_id: str, values):
+    """Raise the ValueError for an entry whose float32 cast of `values`
+    is not finite: either a value is NaN or inf, or it overflowed."""
+    if np.isfinite(np.asarray(values, dtype=np.float64)).all():
+        raise ValueError(f"entry {img_id!r} has values beyond float32 range")
+    raise ValueError(f"entry {img_id!r} contains non-finite values")
 
 
 class _Entries(MutableMapping):

@@ -173,21 +173,15 @@ def dense_backward(x: np.ndarray, layer: DenseLayer, upstream: np.ndarray, *,
 def sgd_step(layer: DenseLayer, grad: LayerGrad, lr: float) -> DenseLayer:
     """In-place plain SGD update: params <- params - lr * grad.
 
-    lr = 0 is accepted and leaves the layer bit-identical. lr = 1 subtracts
-    `grad` as given, with no temporary the size of the layer; a caller that
-    owns its gradient buffers scales them in place and passes lr = 1.
-    `grad` itself is never modified.
+    lr = 0 is accepted and leaves the layer bit-identical. `grad` itself
+    is never modified.
     """
     if lr < 0:
         raise ValueError(f"learning rate must be nonnegative, got {lr}")
     if grad.d_weights.shape != layer.weights.shape or grad.d_bias.shape != layer.bias.shape:
         raise ShapeError("gradient shapes do not match layer shapes")
-    if lr == 1.0:
-        layer.weights -= grad.d_weights
-        layer.bias -= grad.d_bias
-    else:
-        layer.weights -= lr * grad.d_weights
-        layer.bias -= lr * grad.d_bias
+    layer.weights -= lr * grad.d_weights
+    layer.bias -= lr * grad.d_bias
     return layer
 
 

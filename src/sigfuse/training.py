@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .evaluate import UndefinedAPError, scores_to_aps
-from .model import (HybridNet, Profile, build_net, net_backward, net_forward,
-                    set_trainable)
-from .nn import make_rng, sgd_step
+from .evaluate import UndefinedAPError, evaluate_mask
+from .model import HybridNet, Profile, build_net, net_backward, set_trainable
+from .nn import make_rng
 
 # rng stream tags
 _TAG_SHUFFLE = 20
@@ -33,7 +32,7 @@ _TAG_MODDROP = 21
 class TrainConfig:
     lr: float = 0.01
     batch_size: int = 64
-    epochs: int = 50          # per stage
+    epochs: int = 20          # per stage
     seed: int = 0
     momentum: float = 0.0
     weight_decay: float = 0.0
@@ -87,37 +86,31 @@ def write_logs(rows: list[dict], path):
         w.writerows(rows)
 
 
-def _apply_updates(net: HybridNet, grads, cfg: TrainConfig, velocities):
-    """One SGD step, in place, for every trainable group.
+def _apply_updates(layers, grads, cfg: TrainConfig, velocities):
+    """One SGD step, in place, for `layers` from their `grads` (in the
+    same order): v = m * v + g + wd * w, then w -= lr * v.
 
-    The step owns the buffers in `grads`: each is overwritten with
-    lr * step and then subtracted, so the update makes no temporary the
-    size of a layer (weight decay makes one, for wd * w). The arithmetic
-    is unchanged: step = g + wd * w, v = m * v + step, w -= lr * v.
+    The step owns the gradient buffers: each is overwritten with lr * step
+    and then subtracted, so the update makes no temporary the size of a
+    layer (weight decay makes one, for wd * w). `velocities` maps an
+    array's position among the weights and biases to its v.
     """
     if cfg.lr == 0:
         return  # no parameter moves; velocities feed nothing else
-    for group, layer_grads in grads.items():
-        if not net.trainable.get(group, True):
-            continue
-        for li, (layer, g) in enumerate(zip(net.group_layers(group), layer_grads)):
-            step_w, step_b = g.d_weights, g.d_bias
-            if cfg.weight_decay > 0:
-                step_w += cfg.weight_decay * layer.weights
-                step_b += cfg.weight_decay * layer.bias
-            if cfg.momentum > 0:
-                if (group, li) not in velocities:
-                    velocities[group, li] = (np.zeros(layer.weights.shape),
-                                             np.zeros(layer.bias.shape))
-                vw, vb = velocities[group, li]
-                vw *= cfg.momentum
-                vw += step_w
-                vb *= cfg.momentum
-                vb += step_b
-                step_w, step_b = vw, vb
-            np.multiply(step_w, cfg.lr, out=g.d_weights)
-            np.multiply(step_b, cfg.lr, out=g.d_bias)
-            sgd_step(layer, g, 1.0)
+    pairs = (pair for layer, g in zip(layers, grads)
+             for pair in ((layer.weights, g.d_weights), (layer.bias, g.d_bias)))
+    for i, (param, g) in enumerate(pairs):
+        step = g
+        if cfg.weight_decay > 0:
+            step += cfg.weight_decay * param
+        if cfg.momentum > 0:
+            if i not in velocities:
+                velocities[i] = np.zeros(param.shape)
+            v = velocities[i]
+            v *= cfg.momentum
+            v += step
+            step = v
+        param -= np.multiply(step, cfg.lr, out=g)
 
 
 def _policy_kinds(mask_policy: str, net: HybridNet) -> list[str]:
@@ -129,9 +122,7 @@ def _policy_kinds(mask_policy: str, net: HybridNet) -> list[str]:
 
 
 def validation_map(net: HybridNet, dataset: Dataset, mask) -> float:
-    _, xs, y = dataset.arrays("val", kinds=list(mask))
-    _, scores = net_forward(xs, mask, net)
-    return scores_to_aps(scores, y)[1]
+    return evaluate_mask(net, dataset, "val", mask)[1]
 
 
 def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
@@ -140,12 +131,12 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     """Train one stage of `net` in place and return it at its best epoch.
 
     The best epoch has the highest validation mAP; ties keep the earlier
-    epoch. Frozen groups are never updated, so a checkpoint holds copies
-    of the trainable groups only; they go through `DenseLayer.copy`, whose
-    finiteness check stops a diverged net from being kept. An improving
-    last epoch is never restored, so it is checked in place, not copied.
-    When the best epoch is not the last, its checkpoint is moved back
-    into `net`.
+    epoch. Frozen groups are never updated, so the checkpoint, the check
+    and the SGD step walk only the learning groups' layers. A checkpoint
+    goes through `DenseLayer.copy`, whose finiteness check stops a
+    diverged net from being kept. An improving last epoch is never
+    restored, so it is checked in place, not copied. When the best epoch
+    is not the last, its checkpoint is moved back into `net`.
     """
     if not any(net.trainable.values()):
         raise ValueError("no trainable group in this stage")
@@ -155,6 +146,7 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     shuffle_rng = make_rng(cfg.seed, _TAG_SHUFFLE, shuffle_key)
     drop_rng = make_rng(cfg.seed, _TAG_MODDROP, shuffle_key)
     learning = [g for g in net.group_ids() if net.trainable.get(g, True)]
+    layers = [layer for g in learning for layer in net.group_layers(g)]
     velocities = {}
     best, best_map, best_epoch = None, -np.inf, -1
     for epoch in range(1, epochs + 1):
@@ -168,7 +160,7 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
                 mask = train_kinds
             batch = {k: xs[k][idx] for k in mask}
             grads, loss = net_backward(batch, mask, net, y[idx])
-            _apply_updates(net, grads, cfg, velocities)
+            _apply_updates(layers, [lg for g in learning for lg in grads[g]], cfg, velocities)
             total_loss += loss * len(idx)
             if on_batch is not None:
                 on_batch(net, list(mask))
@@ -178,17 +170,14 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
         if val_map > best_map:
             best = None  # free the old checkpoint before copying the new one
             if epoch < epochs:
-                best = {g: [layer.copy() for layer in net.group_layers(g)]
-                        for g in learning}
+                best = [layer.copy() for layer in layers]
             else:
-                for g in learning:
-                    for layer in net.group_layers(g):
-                        layer.check_finite()
+                for layer in layers:
+                    layer.check_finite()
             best_map, best_epoch = val_map, epoch
     if best_epoch != epochs:
-        for group, saved in best.items():
-            for layer, kept in zip(net.group_layers(group), saved):
-                layer.weights, layer.bias = kept.weights, kept.bias
+        for layer, kept in zip(layers, best):
+            layer.weights, layer.bias = kept.weights, kept.bias
     return net
 
 

@@ -6,6 +6,7 @@ import os
 import struct
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -318,7 +319,35 @@ class TestNonFiniteBankEntries:
             FeatureBank("k", 2, {"a": [0.0, 1.0], "b": [value, 0.0], "c": [value, value]})
 
 
-WIDE = Profile(512, 128, 64, 64, 8)
+class TestBeyondFloat32Entries:
+    """A finite value that overflows the float32 cast is a ValueError that
+    names the id and says so, with no numpy warning, at each entry point;
+    a NaN or inf beside it is still reported as non-finite."""
+
+    @pytest.mark.parametrize("value", [1e300, -3.5e38])
+    def test_every_entry_point_names_the_range(self, value):
+        bank = small_bank()
+        kept = bank.entries["bb"].copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^entry 'b' has values beyond float32 range$"):
+                FeatureBank("k", 2, {"a": [0.0, 1.0], "b": [value, 0.0]})
+            with pytest.raises(ValueError, match="^entry 'x' has values beyond float32 range$"):
+                bank.add("x", [0.0, value, 1.0])
+            with pytest.raises(ValueError, match="^entry 'bb' has values beyond float32 range$"):
+                bank.entries["bb"] = np.array([0.0, value, 1.0])
+        assert bank.entries["bb"].tobytes() == kept.tobytes() and "x" not in bank.entries
+
+    def test_non_finite_beside_overflow_is_non_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^entry 'a' contains non-finite values$"):
+                FeatureBank("k", 2, {"a": [1e300, np.nan]})
+            with pytest.raises(ValueError, match="^entry 'x' contains non-finite values$"):
+                small_bank().add("x", [1e300, np.inf, 0.0])
+
+
+WIDE =Profile(512, 128, 64, 64, 8)
 
 
 @pytest.fixture(scope="module")

@@ -447,6 +447,34 @@ class TestGoldenRegimes:
         assert digest == GOLDEN_LBP_ORDER
 
 
+# sha256 over the same bytes as `regime_digest`, trained with momentum and
+# weight decay 0: the plain SGD step that the CLI defaults run
+GOLDEN_PLAIN_SGD = {
+    "dedicated:cnn": "c31d6a0499afab2c354049475d5f8c6e853a5c227b13cfec4ca682af9b6d23b9",
+    "allfeat": "9b9e32554fb1639e772d06045ccc0ce656d759d0ac769caa8c30d53ed16fe065",
+    "moddrop": "ebb4ab9d4c2f486e8b8fb6daf884feb2061ce6b1f444d3286f115f95cd94ccc1",
+    "multistage:fv": "1d76bf897e61920d43dd52156b9b31f823dde96e21156b4d6416f5a14cdd138c",
+    "allfeatinit": "626db39e02f4e7a7a61504adcefb729171c5fb4f03c4146a07af4c399b26b419",
+}
+
+
+class TestGoldenPlainSGD:
+    @pytest.mark.parametrize("regime", list(GOLDEN_PLAIN_SGD))
+    def test_regime_bytes_pinned(self, regime, tmp_path):
+        dataset = make_dataset(n_train=240, n_val=80, n_test=40)
+        cfg = TrainConfig(lr=0.05, batch_size=32, epochs=3, seed=6)
+        result = train_regime(regime, dataset, cfg, DESK)
+        h = hashlib.sha256(model_to_bytes(result.net))
+        h.update(repr(result.net.trainable).encode())
+        write_logs(result.logs, tmp_path / "log.csv")
+        h.update((tmp_path / "log.csv").read_bytes())
+        for name, net in sorted(result.checkpoints.items()):
+            h.update(name.encode())
+            h.update(model_to_bytes(net))
+            h.update(repr(net.trainable).encode())
+        assert h.hexdigest() == GOLDEN_PLAIN_SGD[regime]
+
+
 class TestScheduleValidation:
     """Every bad regime argument is rejected before any stage trains."""
 
