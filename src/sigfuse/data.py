@@ -160,7 +160,8 @@ class FeatureBank:
 
     def __init__(self, kind_name: str, dim: int, entries=None):
         values = list(entries.values()) if entries else []
-        with np.errstate(over="ignore"):  # an overflow is an inf, refused in _adopt
+        # an overflow is an inf and a signaling NaN a NaN, both refused in _adopt
+        with np.errstate(over="ignore", invalid="ignore"):
             matrix = np.array(values, dtype="<f4") if values else np.empty((0, dim), "<f4")
         if matrix.shape != (len(values), dim):
             raise ValueError(f"bank entries of shape {matrix.shape[1:]}, bank dim is {dim}")
@@ -193,7 +194,8 @@ class FeatureBank:
         return _Entries(self)
 
     def add(self, img_id: str, values: np.ndarray):
-        with np.errstate(over="ignore"):  # an overflow is an inf, refused below
+        # an overflow is an inf and a signaling NaN a NaN, both refused below
+        with np.errstate(over="ignore", invalid="ignore"):
             cast = np.asarray(values, dtype=np.float32)
         if cast.shape != (self.dim,):
             raise ValueError(f"entry {img_id!r} has shape {cast.shape}, "
@@ -220,7 +222,9 @@ class FeatureBank:
 def _refuse(img_id: str, values):
     """Raise the ValueError for an entry whose float32 cast of `values`
     is not finite: either a value is NaN or inf, or it overflowed."""
-    if np.isfinite(np.asarray(values, dtype=np.float64)).all():
+    with np.errstate(invalid="ignore"):  # a signaling NaN casts to a NaN
+        wide = np.asarray(values, dtype=np.float64)
+    if np.isfinite(wide).all():
         raise ValueError(f"entry {img_id!r} has values beyond float32 range")
     raise ValueError(f"entry {img_id!r} contains non-finite values")
 
@@ -287,10 +291,43 @@ def bank_to_bytes(bank: FeatureBank) -> bytes:
     return out.tobytes()
 
 
+# a record that follows this many records whose ids have its byte length
+# starts one array read of the rest of their run; an array read costs
+# about as much as reading 15-20 records one at a time
+_RUN = 16
+
+
+def _id_run(data: bytes, pos: int, n: int, step: int, most: int) -> tuple[list[str], np.ndarray]:
+    """The ids and vector offsets of the records from `pos` on whose ids
+    are `n` bytes long, at most `most` of them. The record at `pos` has an
+    `n`-byte id and fits in `data`."""
+    size = 2 + n + step
+    fit = min(most, (len(data) - pos) // size)
+    records = np.frombuffer(data, np.uint8, fit * size, pos).reshape(fit, size)
+    lengths = records[:, :2].view("<u2")[:, 0]
+    # look for the run's end in windows that grow, so a short run costs little
+    m, width = 1, 16
+    while m < fit:
+        stop = min(fit, m + width)
+        other = np.flatnonzero(lengths[m:stop] != n)
+        if other.size:
+            m += int(other[0])
+            break
+        m, width = stop, 4 * width
+    offsets = np.arange(pos + 2 + n, pos + m * size, size)
+    raw = records[:m, 2:2 + n]
+    # NumPy drops a str's trailing NULs, and ASCII bytes are their code points
+    if n and raw.max() < 0x80 and raw[:, -1].all():
+        return raw.astype("<u4").view(f"<U{n}")[:, 0].tolist(), offsets
+    return [data[s - n:s].decode("utf-8") for s in offsets.tolist()], offsets
+
+
 def bank_from_bytes(data: bytes) -> FeatureBank:
-    """Parse an FBNK v1 file: one pass over the records reads the id
+    """Parse an FBNK v1 file: one walk over the records reads the id
     lengths and ids, then one gather lifts every vector into the bank's
-    (count, dim) float32 matrix, row i for the i-th record."""
+    (count, dim) float32 matrix, row i for the i-th record. The walk steps
+    one record at a time until a record follows `_RUN` records whose ids
+    have its byte length, then takes the rest of that run as one array."""
     rd = Reader(io.BytesIO(data), DataFormatError, "bank")
     rd.header(BANK_MAGIC, BANK_VERSION)
     kind_name = rd.read_str()
@@ -303,17 +340,36 @@ def bank_from_bytes(data: bytes) -> FeatureBank:
         raise DataFormatError(f"truncated bank file: a count of {count} records of "
                               f"dim {dim} needs at least {least} bytes, {remaining} remain")
     pos, size, step = rd.tell(), len(data), 4 * dim
-    ids, offsets = [], []
-    add_id, add_offset = ids.append, offsets.append
+    # `offsets` holds arrays of vector offsets in record order; `stretch`
+    # the offsets of the records taken one at a time since the last run
+    ids, offsets, stretch = [], [], []
+    add_id, add_offset = ids.append, stretch.append
+    done, prev, same = 0, -1, 0
     try:
-        for _ in range(count):
-            start = pos + 2
-            end = start + (data[pos] | data[pos + 1] << 8)
-            if end > size:
-                raise rd.truncated()
-            add_id(data[start:end].decode("utf-8"))
-            add_offset(end)
-            pos = end + step
+        while done < count:
+            for done in range(done, count):  # one record at a time
+                n = data[pos] | data[pos + 1] << 8
+                if n != prev:
+                    prev, same = n, 0
+                else:
+                    same += 1
+                    if same == _RUN and pos + 2 + n + step <= size:
+                        break
+                start = pos + 2
+                end = start + n
+                if end > size:
+                    raise rd.truncated()
+                add_id(data[start:end].decode("utf-8"))
+                add_offset(end)
+                pos = end + step
+            else:
+                break
+            run, run_offsets = _id_run(data, pos, n, step, count - done)
+            ids += run
+            offsets += [np.array(stretch, dtype=np.intp), run_offsets]
+            stretch.clear()
+            pos = int(run_offsets[-1]) + step
+            done += len(run)
     except IndexError:
         raise rd.truncated() from None
     except UnicodeDecodeError as exc:
@@ -322,6 +378,7 @@ def bank_from_bytes(data: bytes) -> FeatureBank:
         raise rd.truncated()
     if pos < size:
         raise DataFormatError("trailing bytes after bank data")
+    offsets = np.concatenate([*offsets, np.array(stretch, dtype=np.intp)])
     records = np.frombuffer(data, dtype=np.uint8)
     vectors = (sliding_window_view(records, step)[offsets] if count
                else np.empty((0, step), dtype=np.uint8)).view("<f4")
@@ -557,6 +614,10 @@ def synth_generate(spec: SyntheticSpec) -> tuple[AttributeTable, dict[str, Featu
 # assembled dataset views for training and evaluation
 # ---------------------------------------------------------------------------
 
+# `Dataset.arrays` lifts a kind's rows to float64 this many floats at a time
+_GATHER_FLOATS = 1 << 16
+
+
 @dataclass
 class _StackedSplit:
     """One split's sorted ids, labels and the feature matrices stacked so
@@ -618,7 +679,11 @@ class Dataset:
                     missing = [i for i in stacked.ids if i not in bank.rows]
                     raise ValueError(f"bank {kind!r} missing features for {len(missing)} "
                                      f"images (first: {missing[0]!r})") from None
-                x = bank.matrix[rows].astype(np.float64)
+                x = np.empty((len(rows), bank.dim))
+                # gather in bounded chunks, so no `<f4` copy of the split is held
+                stride = max(1, _GATHER_FLOATS // max(bank.dim, 1))
+                for start in range(0, len(rows), stride):
+                    x[start:start + stride] = bank.matrix[rows[start:start + stride]]
                 x.flags.writeable = False
                 stacked.xs[kind] = (bank, x)
             xs[kind] = x

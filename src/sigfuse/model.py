@@ -362,13 +362,14 @@ def _read_matrix(rd: Reader, chunk: np.ndarray,
     if 4 * rows * cols > rd.remaining():
         raise rd.truncated()
     m = np.empty((rows, cols)) if keep else None
-    for start in range(0, rows * cols, chunk.size):
-        part = chunk[:rows * cols - start]
-        rd.fill(part)
-        if keep:
-            m.reshape(-1)[start:start + part.size] = part
-        elif not np.isfinite(part).all():
-            raise ModelFormatError("layer parameters must be finite")
+    with np.errstate(invalid="ignore"):  # a signaling NaN casts to a NaN, refused later
+        for start in range(0, rows * cols, chunk.size):
+            part = chunk[:rows * cols - start]
+            rd.fill(part)
+            if keep:
+                m.reshape(-1)[start:start + part.size] = part
+            elif not np.isfinite(part).all():
+                raise ModelFormatError("layer parameters must be finite")
     return (rows, cols), m
 
 

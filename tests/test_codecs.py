@@ -2,6 +2,7 @@
 way a cut or inflated file must fail."""
 
 import gc
+import io
 import os
 import struct
 import threading
@@ -12,11 +13,14 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sigfuse import cli, protocol
+from sigfuse import data as data_mod
+from sigfuse.binfmt import Reader
 from sigfuse.cli import main
-from sigfuse.data import (DataFormatError, FeatureBank, bank_from_bytes,
-                          bank_to_bytes, load_bank)
+from sigfuse.data import (BANK_MAGIC, BANK_VERSION, DataFormatError, FeatureBank,
+                          bank_from_bytes, bank_to_bytes, load_bank)
 from sigfuse.model import (_CHUNK, PROFILES, FeatureKind, ModelFormatError, Profile,
                            build_net, group_bytes, load_model, load_trunk,
                            model_from_bytes, model_to_bytes)
@@ -515,3 +519,195 @@ class TestServeRefusesCorruptModels:
         [net] = loaded
         assert net.branches == [] and net.signature_dim == 32
         assert group_bytes(net, "trunk") == group_bytes(model_from_bytes(data), "trunk")
+
+
+def parent_bank_from_bytes(data):
+    """The FBNK v1 reader as it stood before records were read in runs:
+    one Python step per record. Kept to compare errors against."""
+    rd = Reader(io.BytesIO(data), DataFormatError, "bank")
+    rd.header(BANK_MAGIC, BANK_VERSION)
+    kind_name = rd.read_str()
+    dim, count = rd.unpack("<IQ")
+    if dim > 1 << 24:
+        raise DataFormatError(f"bank dim {dim} exceeds size limit")
+    least, remaining = count * (2 + 4 * dim), rd.remaining()
+    if least > remaining:
+        raise DataFormatError(f"truncated bank file: a count of {count} records of "
+                              f"dim {dim} needs at least {least} bytes, {remaining} remain")
+    pos, size, step = rd.tell(), len(data), 4 * dim
+    ids, offsets = [], []
+    try:
+        for _ in range(count):
+            start = pos + 2
+            end = start + (data[pos] | data[pos + 1] << 8)
+            if end > size:
+                raise rd.truncated()
+            ids.append(data[start:end].decode("utf-8"))
+            offsets.append(end)
+            pos = end + step
+    except IndexError:
+        raise rd.truncated() from None
+    except UnicodeDecodeError as exc:
+        raise rd.not_utf8(exc) from None
+    if pos > size:
+        raise rd.truncated()
+    if pos < size:
+        raise DataFormatError("trailing bytes after bank data")
+    records = np.frombuffer(data, dtype=np.uint8)
+    vectors = (sliding_window_view(records, step)[offsets] if count
+               else np.empty((0, step), dtype=np.uint8)).view("<f4")
+    rows = dict(zip(ids, range(count)))
+    if len(rows) != count:
+        seen = set()
+        for img_id in ids:
+            if img_id in seen:
+                raise DataFormatError(f"duplicate image id {img_id!r} in bank")
+            seen.add(img_id)
+    try:
+        return FeatureBank.from_matrix(kind_name, vectors, rows)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
+
+
+def ids_of_lengths(lengths, fill="x"):
+    """Distinct ASCII ids, the i-th `lengths[i]` bytes long."""
+    ids = [np.base_repr(i, 36).rjust(n, fill) for i, n in enumerate(lengths)]
+    assert [len(i) for i in ids] == list(lengths)
+    return ids
+
+
+def bank_of(ids, dim=3, seed=0):
+    return FeatureBank("k", dim, dict(zip(ids, vectors(dim, len(ids), seed))))
+
+
+R = data_mod._RUN
+RUN_BANKS = {
+    "10k uniform ids": [f"synth_{i:06d}" for i in range(10000)],
+    "id lengths 1,1,2,2,2,1,3": ids_of_lengths([1, 1, 2, 2, 2, 1, 3]),
+    # runs one short of, at, and past the length that is read as one array
+    "runs about the run length": ids_of_lengths(
+        [4] * R + [5] * (R + 1) + [4] * (R + 2) + [6] * (R + 3) + [5] + [4] * 3 * R),
+    "ids ending in NUL": ([f"id{i:03d}\0" for i in range(3 * R)]
+                          + [f"id{i:03d}\0" if i % 2 else f"id{i:04d}"
+                             for i in range(3 * R, 6 * R)]),
+    "an all-NUL id": ids_of_lengths([3] * R) + ["\0\0\0"] + ids_of_lengths([3] * 2 * R, "y"),
+    "ASCII and non-ASCII ids of one byte length": [
+        f"é{i:03d}" if i % 3 else f"e{i:04d}" for i in range(4 * R)],
+    "a run that ends at the last record": ["a", "bb"] + [f"c{i:03d}" for i in range(2 * R)],
+}
+
+
+class TestFbnkRuns:
+    """The reader takes runs of records whose ids share a byte length as
+    one array; every id, row and vector comes out as the per-record
+    reference reads them."""
+
+    @pytest.mark.parametrize("case", list(RUN_BANKS))
+    def test_same_bank_as_the_reference(self, case):
+        bank = bank_of(RUN_BANKS[case])
+        data = bank_to_bytes(bank)
+        loaded = bank_from_bytes(data)
+        assert_same_bank(ref_bank_from_bytes(data), loaded)
+        assert list(loaded.entries) == RUN_BANKS[case]
+        assert loaded.rows == dict(zip(RUN_BANKS[case], range(len(RUN_BANKS[case]))))
+        assert loaded.matrix.tobytes() == bank.matrix[:len(bank.rows)].tobytes()
+
+
+def outcome(read, data):
+    """What `read` makes of `data`: the bank's contents, or the class and
+    message of the exception it raised."""
+    try:
+        bank = read(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return bank.kind_name, bank.dim, bank.rows, bank.matrix.tobytes()
+
+
+def mixed_bank_bytes():
+    """Long and short runs, ASCII and non-ASCII ids, ids ending in NUL."""
+    ids = (ids_of_lengths([4] * (R + 4)) + ["a", "bb", "é", "x\0", "\0\0", ""]
+           + [f"é{i:02d}" if i % 2 else f"e{i:03d}" for i in range(R + 2)]
+           + [f"n{i:02d}\0" for i in range(R + 1)] + ["q" * 300]
+           + ids_of_lengths([5] * (R + 3), "z"))
+    return bank_to_bytes(bank_of(ids, dim=2, seed=6))
+
+
+class TestFbnkErrorsAsBefore:
+    """Reading runs changes no error: every cut and corruption of a mixed
+    bank gives the class and message the per-record reader gave, in record
+    order (an id that is not UTF-8 before a later truncation)."""
+
+    def test_every_cut(self):
+        data = mixed_bank_bytes()
+        for cut in range(len(data)):
+            assert outcome(bank_from_bytes, data[:cut]) == \
+                outcome(parent_bank_from_bytes, data[:cut]), cut
+
+    def test_seeded_corruptions(self):
+        data = mixed_bank_bytes()
+        rng = make_rng(14, 1)
+        errors = set()
+        for _ in range(3000):
+            corrupt = bytearray(data)
+            for at in rng.integers(0, len(data), rng.integers(1, 4)):
+                corrupt[at] = rng.choice([rng.integers(0, 256), 0, 0x80, corrupt[at] ^ 1])
+            corrupt = bytes(corrupt)
+            want = outcome(parent_bank_from_bytes, corrupt)
+            assert outcome(bank_from_bytes, corrupt) == want, corrupt
+            errors.add(want[1].split(":")[0] if want[0] is DataFormatError else "loads")
+        assert {"loads", "bank string is not UTF-8", "truncated bank file"} <= errors
+
+
+SIGNALING_NAN_F4 = struct.pack("<I", 0x7F800001)
+SIGNALING_NAN_F8 = np.frombuffer(struct.pack("<Q", 0x7FF0000000000001), dtype="<f8")[0]
+
+
+def matrix_offsets(data):
+    """Offset of every matrix's u32 row count in an HNET file, in order."""
+    offsets, pos = [], first_matrix_at(data)
+    while pos < len(data):
+        offsets.append(pos)
+        rows, cols = struct.unpack_from("<II", data, pos)
+        pos += 8 + 4 * rows * cols
+    return offsets
+
+
+class TestSignalingNan:
+    """A float32 signaling NaN is refused with the loader's own error and
+    no numpy warning, even where warnings are errors."""
+
+    def test_bank_load(self):
+        bank = small_bank()
+        data = bytearray(bank_to_bytes(bank))
+        at = data.index(bank.entries["bb"].tobytes())
+        data[at + 4:at + 8] = SIGNALING_NAN_F4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError,
+                               match="^entry 'bb' contains non-finite values$"):
+                bank_from_bytes(bytes(data))
+
+    def test_add(self):
+        bank = small_bank()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for put in (bank.add, bank.entries.__setitem__):
+                with pytest.raises(ValueError, match="^entry 'x' contains non-finite values$"):
+                    put("x", np.array([0.0, SIGNALING_NAN_F8, 1.0]))
+            with pytest.raises(ValueError, match="^entry 'b' contains non-finite values$"):
+                FeatureBank("k", 2, {"a": [0.0, 1.0], "b": [SIGNALING_NAN_F8, 0.0]})
+        assert "x" not in bank.entries
+
+    @pytest.mark.parametrize("matrix", [0, 4], ids=["branch", "trunk"])
+    def test_model_loads(self, tmp_path, matrix):
+        data = bytearray(desk_hnet())
+        at = matrix_offsets(data)[matrix] + 8 + 4 * 3
+        data[at:at + 4] = SIGNALING_NAN_F4
+        path = tmp_path / "snan.hnet"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for load in (lambda: model_from_bytes(bytes(data)), lambda: load_model(path),
+                         lambda: load_trunk(path)):
+                with pytest.raises(ModelFormatError, match="^layer parameters must be finite$"):
+                    load()

@@ -475,6 +475,45 @@ class TestGoldenPlainSGD:
         assert h.hexdigest() == GOLDEN_PLAIN_SGD[regime]
 
 
+# sha256 of each float64 parameter array of the `regime_digest` moddrop
+# net. The pins above hash float32 bytes and log lines, which a one-ulp
+# change to the float64 update can leave as they were; these cannot.
+GOLDEN_MODDROP_FLOAT64 = {
+    "fv/1/weights": "2c4ef469ffb0a61657b8e8025aeceffde9f40364fa3fd385c5355796bb7b6213",
+    "fv/1/bias": "1b50f6735a4ffc4ff08302baa970959396fda27338b4b251bb288adda0c4816d",
+    "fv/2/weights": "483262fef90a609abb7ab86b145550925284eaa6c91d043ff7d81c36099cbaf3",
+    "fv/2/bias": "fb143ca959eab4d8882363cd40370e8be2fe2dda1fc4c9229745017af34b2240",
+    "cnn/1/weights": "3cebeda0591a965b246a970a31712affe48366c02eade268f236e0218bb2bd0d",
+    "cnn/1/bias": "c9ecf765b8c074d9bef31e1b7cb000fac3f0122afa8da9b17064828d14708cca",
+    "cnn/2/weights": "b46a0bee0f2671a2eb7348c88045569a211c996da25e180506e00893b2ddb410",
+    "cnn/2/bias": "42f214088acc2c66560f818d0f29c31e4acac992aef48a771a47cf24fc97fe5a",
+    "lbp/1/weights": "e74587c5a450a62cb1fde7fde8521c91cafcbb84655c65ed325c412c6569efd1",
+    "lbp/1/bias": "b48dfad4e83d822bfeab83c2ed6562dfb816b9e76805252128fd7ef266fa160a",
+    "lbp/2/weights": "8d5192c8da7cdc6411c84662ded9e2fff6f2eb102974014c6eef2c84416c9efe",
+    "lbp/2/bias": "0555e8036a443b6efb607377e583e99b3bd4890cf8e7317822ce3a035f1384a2",
+    "trunk/1/weights": "7eee5b2dcc2d807e78fc5a3793caf0752771c9bc1c7a5900164f63b843f764d6",
+    "trunk/1/bias": "e5f816a7097950ec02a20490e52672dd255fb779c086f2048ae47d78e03bafe2",
+    "trunk/2/weights": "5ee0d0a899de6cc76b4b111b5a4d0bba314f2b9e8417c0c0d69c41f700e60990",
+    "trunk/2/bias": "0c676023a40fb9738624b86d6a58b0f05225f0a044f66a88fc37bf89566fcec1",
+    "trunk/3/weights": "a42ce95c2a0443eb7eaa9934e4b7cb3415e488b9db16ca4a29161d954befb9cb",
+    "trunk/3/bias": "4335fab451e9d13119c1898e2d7df2774c8aae399f2667754f4ed6f74d33ee8f",
+}
+
+
+class TestGoldenFloat64Params:
+    def test_moddrop_parameters_pinned(self):
+        dataset = make_dataset(n_train=240, n_val=80, n_test=40)
+        cfg = TrainConfig(lr=0.05, batch_size=32, epochs=3, seed=6,
+                          momentum=0.9, weight_decay=1e-3)
+        net = train_regime("moddrop", dataset, cfg, DESK).net
+        digests = {f"{group}/{i}/{name}":
+                   hashlib.sha256(getattr(layer, name).tobytes()).hexdigest()
+                   for group in net.group_ids()
+                   for i, layer in enumerate(net.group_layers(group), start=1)
+                   for name in ("weights", "bias")}
+        assert digests == GOLDEN_MODDROP_FLOAT64
+
+
 class TestScheduleValidation:
     """Every bad regime argument is rejected before any stage trains."""
 
