@@ -15,13 +15,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import secrets
 import sys
-import tempfile
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import data as data_mod
 from .data import (DataFormatError, Dataset, SyntheticSpec, ViewSpec,
@@ -44,15 +42,21 @@ class UsageError(ValueError):
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 @contextmanager
 def _atomic_file(path):
-    """A binary file that replaces `path` only when the block completes."""
+    """A binary file that replaces `path` only when the block completes.
+    It is made with mode 0o666 less the umask, as `open` would make it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
@@ -80,17 +84,30 @@ def _parse_banks(pairs: list[str]) -> dict[str, str]:
     return banks
 
 
-def load_dataset(attrs_path, split_path, bank_paths: dict[str, str]) -> Dataset:
+def _load_banks(bank_paths: dict[str, str], kinds, net=None) -> dict[str, data_mod.FeatureBank]:
+    """The bank of each of `kinds`, in that order. Each must be supplied
+    and store its kind, and given `net`, fit the input of its branch."""
+    banks = {}
+    for kind in kinds:
+        if kind not in bank_paths:
+            raise DataFormatError(f"no --bank supplied for kind {kind!r}")
+        bank = banks[kind] = load_bank(bank_paths[kind])
+        if bank.kind_name != kind:
+            raise DataFormatError(f"bank {bank_paths[kind]} stores kind "
+                                  f"{bank.kind_name!r}, expected {kind!r}")
+        if net is not None and bank.dim != net.kind_by_name(kind).input_dim:
+            raise DataFormatError(f"bank {kind!r} has dim {bank.dim}, model branch "
+                                  f"expects {net.kind_by_name(kind).input_dim}")
+    return banks
+
+
+def load_dataset(attrs_path, split_path, bank_paths: dict[str, str], net=None) -> Dataset:
+    """The attribute table with its splits, and the bank of each kind of
+    `net`, or without a net, of every kind in `bank_paths`."""
     table = parse_attr_file(Path(attrs_path).read_text())
     table.splits = parse_split_file(Path(split_path).read_text())
-    banks = {}
-    for name, path in bank_paths.items():
-        bank = load_bank(path)
-        if bank.kind_name != name:
-            raise DataFormatError(f"bank {path} stores kind {bank.kind_name!r}, "
-                                  f"expected {name!r}")
-        banks[name] = bank
-    return Dataset(table, banks)
+    kinds = bank_paths if net is None else net.kind_names()
+    return Dataset(table, _load_banks(bank_paths, kinds, net))
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +222,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     banks = _parse_banks(args.bank)
-    dataset = load_dataset(args.attrs, args.split_file, banks)
     net = load_model(args.model)
-    for kind in net.kind_names():
-        if kind not in dataset.banks:
-            raise DataFormatError(f"no feature bank supplied for model kind {kind!r}")
-        if dataset.banks[kind].dim != net.kind_by_name(kind).input_dim:
-            raise DataFormatError(
-                f"bank {kind!r} has dim {dataset.banks[kind].dim}, model branch "
-                f"expects {net.kind_by_name(kind).input_dim}")
+    dataset = load_dataset(args.attrs, args.split_file, banks, net)
     report = combination_sweep(net, dataset, args.split)
     prefix = Path(args.out_prefix)
     _atomic_write(prefix.with_suffix(".csv"), report_emit(report, "csv").encode())
@@ -280,18 +290,19 @@ def cmd_synth(args) -> int:
         raise UsageError(str(exc))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "attrs.txt", format_attr_file(table).encode())
-    _atomic_write(out_dir / "partition.txt", format_split_file(table.splits).encode())
+    written = [out_dir / "attrs.txt", out_dir / "partition.txt"]
+    _atomic_write(written[0], format_attr_file(table).encode())
+    _atomic_write(written[1], format_split_file(table.splits).encode())
     for name, bank in banks.items():
-        _atomic_write(out_dir / f"{name}.fbnk", data_mod.bank_to_bytes(bank))
+        written.append(out_dir / f"{name}.fbnk")
+        _atomic_write(written[-1], data_mod.bank_to_bytes(bank))
     manifest = {
         "command": "synth",
         "config": {"latent_dim": spec.latent_dim, "attributes": spec.n_attributes,
                    "views": [[v.name, v.dim, v.noise] for v in views],
                    "counts": [spec.n_train, spec.n_val, spec.n_test],
                    "seed": spec.seed},
-        "artifacts": {p.name: _sha256(p) for p in sorted(out_dir.iterdir())
-                      if p.suffix in (".txt", ".fbnk")},
+        "artifacts": {p.name: _sha256(p) for p in sorted(written)},
         "created": datetime.now(timezone.utc).isoformat(),
     }
     _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2).encode() + b"\n")
@@ -340,15 +351,11 @@ def cmd_query(args) -> int:
         mask = normalize_mask([k.strip() for k in args.mask.split(",") if k.strip()], net)
     except ValueError as exc:
         raise UsageError(f"--mask: {exc}")
-    banks = _parse_banks(args.bank)
     features = {}
-    for kind in mask:
-        if kind not in banks:
-            raise DataFormatError(f"no bank supplied for masked kind {kind!r}")
-        bank = load_bank(banks[kind])
+    for kind, bank in _load_banks(_parse_banks(args.bank), mask, net).items():
         if args.id not in bank.entries:
             raise DataFormatError(f"image {args.id!r} not in bank {kind!r}")
-        features[kind] = bank.entries[args.id].astype(np.float64)
+        features[kind] = bank.entries[args.id]
     label = "".join(k.name[0].upper() if k.name in mask else "x" for k in net.kinds)
     print(f"querying {args.endpoint} with mask {label}", file=sys.stderr)
     scores = client_query(features, mask, net, (host, port))

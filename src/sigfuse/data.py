@@ -159,33 +159,24 @@ class FeatureBank:
     """
 
     def __init__(self, kind_name: str, dim: int, entries=None):
-        values = list(entries.values()) if entries else []
-        # an overflow is an inf and a signaling NaN a NaN, both refused in _adopt
-        with np.errstate(over="ignore", invalid="ignore"):
-            matrix = np.array(values, dtype="<f4") if values else np.empty((0, dim), "<f4")
-        if matrix.shape != (len(values), dim):
-            raise ValueError(f"bank entries of shape {matrix.shape[1:]}, bank dim is {dim}")
         self.kind_name, self.dim = kind_name, dim
-        self._adopt(matrix, dict(zip(entries or (), range(len(values)))), values)
+        # `_free` is the first row no id has used
+        self.matrix, self.rows, self._free = np.empty((0, dim), "<f4"), {}, 0
+        for img_id, values in (entries or {}).items():
+            self.add(img_id, values)
 
     @classmethod
     def from_matrix(cls, kind_name: str, matrix: np.ndarray,
                     rows: dict[str, int]) -> FeatureBank:
         """A bank over a (count, dim) `<f4` matrix as it is, whose row
         `rows[id]` is that id's vector; every value must be finite."""
-        bank = cls(kind_name, matrix.shape[1])
-        bank._adopt(matrix, rows, matrix)
-        return bank
-
-    def _adopt(self, matrix: np.ndarray, rows: dict[str, int], source):
-        """Take `matrix` and `rows`; `source[row]` is what a row was cast from."""
         finite = np.isfinite(matrix)
         if not finite.all():  # one flat pass; a per-row `all` is ~10x slower on narrow banks
-            bad, row = next((img_id, row) for img_id, row in rows.items()
-                            if not finite[row].all())
-            _refuse(bad, source[row])
-        self.matrix, self.rows = matrix, rows
-        self._free = len(matrix)  # the first row no id has used
+            bad = next(img_id for img_id, row in rows.items() if not finite[row].all())
+            _refuse(bad, matrix[rows[bad]])
+        bank = cls(kind_name, matrix.shape[1])
+        bank.matrix, bank.rows, bank._free = matrix, rows, len(matrix)
+        return bank
 
     @property
     def entries(self) -> MutableMapping:
@@ -521,6 +512,9 @@ def read_pgm(path) -> np.ndarray:
         tokens.append(data[start:pos])
     if tokens[0] != b"P5":
         raise DataFormatError(f"not a binary PGM file (magic {tokens[0]!r})")
+    for token in tokens[1:]:
+        if not token.isdigit():
+            raise DataFormatError(f"PGM header token {token!r} is not a decimal integer")
     width, height, maxval = (int(t) for t in tokens[1:])
     if not 0 < maxval <= 255:
         raise DataFormatError(f"unsupported PGM maxval {maxval}")

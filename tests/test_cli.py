@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import struct
 import subprocess
 import sys
 import time
@@ -623,3 +626,161 @@ class TestSynthNoiseBeyondFloat32:
     def test_large_noise_that_fits(self, tmp_path):
         assert run(["synth", "--out-dir", str(tmp_path / "x"), "--view", "fv:10:1e30",
                     "--train-count", "8", "--val-count", "4", "--test-count", "4"]) == 0
+
+
+def first_matrix_at(data) -> int:
+    """Offset of the first matrix's u32 row count in an HNET file: past the
+    magic, version, kind count and each kind's name and dim."""
+    pos = 10
+    for _ in range(struct.unpack_from("<I", data, 6)[0]):
+        pos += 2 + struct.unpack_from("<H", data, pos)[0] + 4
+    return pos
+
+
+class TestExitClassTable:
+    """Each malformed input exits with its class (2 usage, 3 data) and
+    one line naming what is wrong, before any connection is made."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        """A desk model of kinds fv (dim 4) and cnn (dim 3), banks of the
+        right and wrong kind and dim, broken copies of the model, configs
+        missing a regime or naming an unknown profile, and a PGM whose
+        header holds a word."""
+        p = {k: tmp_path / k for k in ("m.hnet", "fv.fbnk", "lbp.fbnk", "fv5.fbnk",
+                                        "huge.hnet", "bias2.hnet", "bias63.hnet",
+                                        "noregime.json", "huge.json", "pgm")}
+        save_model(build_net([("fv", 4), ("cnn", 3)], PROFILES["desk"], seed=0), p["m.hnet"])
+        for name, kind, dim in (("fv.fbnk", "fv", 4), ("lbp.fbnk", "lbp", 4),
+                                ("fv5.fbnk", "fv", 5)):
+            save_bank(FeatureBank(kind, dim, {"a": np.ones(dim)}), p[name])
+        data = p["m.hnet"].read_bytes()
+        bias = first_matrix_at(data) + 8 + 4 * 4 * 64  # fv layer 1 is 4 x 64
+        for name, at, shape in (("huge.hnet", first_matrix_at(data), (16385, 16384)),
+                                ("bias2.hnet", bias, (2, 32)), ("bias63.hnet", bias, (1, 63))):
+            broken = bytearray(data)
+            struct.pack_into("<II", broken, at, *shape)
+            p[name].write_bytes(broken)
+        absent = {"attrs": str(tmp_path / "none.txt"), "split": str(tmp_path / "none.txt"),
+                  "banks": {"fv": str(tmp_path / "none.fbnk")}}
+        p["noregime.json"].write_text(json.dumps(absent))
+        p["huge.json"].write_text(json.dumps({**absent, "regime": "allfeat",
+                                              "profile": "huge"}))
+        p["pgm"].mkdir()
+        (p["pgm"] / "a.pgm").write_bytes(b"P5\nabc 10\n255\n" + bytes(100))
+        return {k: str(v) for k, v in p.items()}
+
+    @staticmethod
+    def query(p, model="m.hnet", mask="fv", bank="fv.fbnk", img="a", endpoint="127.0.0.1:1"):
+        return ["query", "--model", p[model], "--endpoint", endpoint, "--mask", mask,
+                "--bank", f"fv={p[bank]}", "--id", img]
+
+    @staticmethod
+    def eval(p, *banks):
+        return ["eval", "--model", p["m.hnet"], "--attrs", p["noregime.json"],
+                "--split-file", p["noregime.json"], *banks, "--out-prefix", p["m.hnet"]]
+
+    CASES = [
+        ("bank-without-equals", lambda p: TestExitClassTable.eval(p, "--bank", "fv"),
+         2, "--bank expects name=path, got 'fv'"),
+        ("eval-without-bank", lambda p: TestExitClassTable.eval(p),
+         2, "at least one --bank name=path is required"),
+        ("config-without-regime",
+         lambda p: ["train", "--config", p["noregime.json"], "--out", p["huge.hnet"]],
+         2, "--regime is required"),
+        ("config-profile-huge",
+         lambda p: ["train", "--config", p["huge.json"], "--out", p["huge.hnet"]],
+         2, "unknown profile 'huge'"),
+        ("synth-view-without-noise",
+         lambda p: ["synth", "--out-dir", p["pgm"], "--view", "a:1"],
+         2, "--view expects name:dim:noise, got 'a:1'"),
+        ("query-endpoint-without-host", lambda p: TestExitClassTable.query(p, endpoint=":7040"),
+         2, "--endpoint expects host:port, got ':7040'"),
+        ("query-id-not-in-bank", lambda p: TestExitClassTable.query(p, img="zz"),
+         3, "image 'zz' not in bank 'fv'"),
+        ("query-kind-not-supplied", lambda p: TestExitClassTable.query(p, mask="fv,cnn"),
+         3, "no --bank supplied for kind 'cnn'"),
+        ("query-bank-of-another-kind", lambda p: TestExitClassTable.query(p, bank="lbp.fbnk"),
+         3, "stores kind 'lbp', expected 'fv'"),
+        ("query-bank-of-another-dim", lambda p: TestExitClassTable.query(p, bank="fv5.fbnk"),
+         3, "bank 'fv' has dim 5, model branch expects 4"),
+        ("hnet-matrix-beyond-limit", lambda p: TestExitClassTable.query(p, model="huge.hnet"),
+         3, "matrix 16385x16384 exceeds size limit"),
+        ("hnet-bias-of-two-rows", lambda p: TestExitClassTable.query(p, model="bias2.hnet"),
+         3, "bias must be a single row"),
+        ("hnet-bias-of-another-length",
+         lambda p: TestExitClassTable.query(p, model="bias63.hnet"),
+         3, "bias length 63 does not match weight columns 64"),
+        ("serve-bias-of-two-rows",
+         lambda p: ["serve", "--model", p["bias2.hnet"], "--port", "0"],
+         3, "bias must be a single row"),
+        ("pgm-header-word",
+         lambda p: ["extract-lbp", "--images", p["pgm"], "--out", p["huge.hnet"]],
+         3, "PGM header token b'abc' is not a decimal integer"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, named", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_exit_class(self, paths, capsys, argv, code, named):
+        before = sorted(os.listdir(os.path.dirname(paths["m.hnet"])))
+        assert run(argv(paths)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: " if code == 2 else "data error: ")
+        assert named in err and err.count("\n") == 1
+        assert sorted(os.listdir(os.path.dirname(paths["m.hnet"]))) == before
+
+
+class TestArtifactModes:
+    """Every file a command writes gets mode 0o666 less the umask, as a
+    plain `open` would give it, and is replaced in one step."""
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["umask-022", "umask-027"])
+    def test_umask_applies(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            data = tmp_path / "data"
+            assert run(["synth", "--out-dir", str(data), "--latent-dim", "4",
+                        "--view", "fv:6:0.1", "--view", "cnn:4:0.2", "--attributes", "3",
+                        "--train-count", "60", "--val-count", "20", "--test-count", "20"]) == 0
+            banks = [f"--bank=fv={data / 'fv.fbnk'}", f"--bank=cnn={data / 'cnn.fbnk'}"]
+            inputs = ["--attrs", str(data / "attrs.txt"),
+                      "--split-file", str(data / "partition.txt"), *banks]
+            assert run(["train", "--regime", "allfeat", *inputs, "--epochs", "1",
+                        "--out", str(tmp_path / "m.hnet")]) == 0
+            assert run(["eval", "--model", str(tmp_path / "m.hnet"), *inputs,
+                        "--out-prefix", str(tmp_path / "report")]) == 0
+            (tmp_path / "pgm").mkdir()
+            write_pgm(tmp_path / "pgm" / "a.pgm", np.zeros((20, 20), np.uint8))
+            assert run(["extract-lbp", "--images", str(tmp_path / "pgm"), "--cell-size", "10",
+                        "--out", str(tmp_path / "lbp.fbnk")]) == 0
+        finally:
+            os.umask(old)
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*") if p.is_file() and p.suffix != ".pgm")
+        assert written == ["data/attrs.txt", "data/cnn.fbnk", "data/fv.fbnk",
+                           "data/manifest.json", "data/partition.txt", "lbp.fbnk",
+                           "m.hnet", "m.hnet.log.csv", "m.hnet.manifest.json",
+                           "report.csv", "report.md"]
+        for name in written:
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+
+
+class TestSynthManifest:
+    """The synth manifest hashes exactly the files that run wrote."""
+
+    def test_rerun_into_a_used_directory(self, synth_dir):
+        (synth_dir / "notes.txt").write_text("not written by synth")
+        assert run(["synth", "--out-dir", str(synth_dir), "--view", "a:4:0.1",
+                    "--train-count", "8", "--val-count", "4", "--test-count", "4"]) == 0
+        artifacts = json.loads((synth_dir / "manifest.json").read_text())["artifacts"]
+        assert sorted(artifacts) == ["a.fbnk", "attrs.txt", "partition.txt"]
+        for name, digest in artifacts.items():
+            assert hashlib.sha256((synth_dir / name).read_bytes()).hexdigest() == digest
+
+    def test_hash_of_a_file_many_blocks_long(self, tmp_path):
+        from sigfuse.cli import _sha256
+        path = tmp_path / "big"
+        payload = make_rng(3).integers(0, 256, (5 << 19) + 7).astype(np.uint8).tobytes()
+        path.write_bytes(payload)
+        assert _sha256(path) == hashlib.sha256(payload).hexdigest()

@@ -447,3 +447,26 @@ class TestDatasetSplitCache:
         combination_sweep(result.net, dataset, "test")
         combination_sweep(result.net, dataset, "val")
         assert sorted(scans) == ["test", "train", "val"]
+
+
+class TestPgmHeaderErrors:
+    """Each malformed P5 header or short pixel block is a DataFormatError
+    that says what is wrong, never a bare ValueError."""
+
+    @pytest.mark.parametrize("data, named", [
+        (b"P5\nabc 10\n255\n" + bytes(30), "PGM header token b'abc' is not a decimal integer"),
+        (b"P5\n2 -2\n255\n" + bytes(4), "PGM header token b'-2' is not a decimal integer"),
+        (b"P5\n2 2 0x1\n" + bytes(4), "PGM header token b'0x1' is not a decimal integer"),
+        (b"P5\n2 2\n", "truncated PGM header"),
+        (b"P5 # a comment to the end", "truncated PGM header"),
+        (b"P5\n2 2\n0\n" + bytes(4), "unsupported PGM maxval 0"),
+        (b"P5\n2 2\n65535\n" + bytes(8), "unsupported PGM maxval 65535"),
+        (b"P5\n2 2\n255\n" + bytes(3), "PGM pixel data truncated"),
+    ], ids=["word", "negative", "hex", "no-maxval", "comment-to-end", "maxval-0",
+            "maxval-65535", "short-pixels"])
+    def test_named_data_error(self, tmp_path, data, named):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError) as exc:
+            read_pgm(path)
+        assert str(exc.value) == named
