@@ -24,7 +24,7 @@ from pathlib import Path
 from . import data as data_mod
 from .data import (DataFormatError, Dataset, SyntheticSpec, ViewSpec,
                    format_attr_file, format_split_file, load_bank,
-                   parse_attr_file, parse_split_file, save_bank)
+                   parse_attr_file, parse_split_file, write_bank)
 from .evaluate import UndefinedAPError, combination_sweep, report_emit
 from .model import (MAX_KINDS, PROFILES, ModelFormatError, load_model,
                     normalize_mask, write_model)
@@ -249,12 +249,16 @@ def cmd_extract_lbp(args) -> int:
         img = data_mod.read_pgm(path)
         if bank is None:
             shape = img.shape
+            if args.cell_size > min(shape):
+                raise UsageError(f"--cell-size {args.cell_size} is larger than the "
+                                 f"{shape[0]}x{shape[1]} images")
             bank = data_mod.FeatureBank(args.kind, data_mod.lbp_dim(*shape, args.cell_size))
         elif img.shape != shape:
             raise DataFormatError(f"{path.name} is {img.shape}, expected {shape} "
                                   "(all images must share one size)")
         bank.add(path.stem, data_mod.lbp_extract(img, args.cell_size))
-    _atomic_write(args.out, data_mod.bank_to_bytes(bank))
+    with _atomic_file(args.out) as fh:
+        write_bank(fh, bank)
     print(f"wrote {args.out}: {len(bank.entries)} images, dim {bank.dim}")
     return EXIT_OK
 
@@ -295,7 +299,8 @@ def cmd_synth(args) -> int:
     _atomic_write(written[1], format_split_file(table.splits).encode())
     for name, bank in banks.items():
         written.append(out_dir / f"{name}.fbnk")
-        _atomic_write(written[-1], data_mod.bank_to_bytes(bank))
+        with _atomic_file(written[-1]) as fh:
+            write_bank(fh, bank)
     manifest = {
         "command": "synth",
         "config": {"latent_dim": spec.latent_dim, "attributes": spec.n_attributes,

@@ -250,36 +250,67 @@ class _Entries(MutableMapping):
         return self._bank.rows.keys()
 
 
-def bank_to_bytes(bank: FeatureBank) -> bytes:
-    """Encode an FBNK v1 file: the header, then for each entry its u16 id
-    length, the UTF-8 id and the vector as `dim` little-endian float32s.
-    Lengths, ids and vectors are each placed by one array operation."""
+def _windows(flat: np.ndarray, width: int) -> np.ndarray:
+    """The `width`-byte windows of a flat uint8 array, row i at byte i."""
+    return np.ndarray((flat.size - width + 1, width), np.uint8, flat, 0, (1, 1))
+
+
+def _bank_records(bank: FeatureBank) -> tuple[bytes, np.ndarray]:
+    """The FBNK v1 header of `bank` and its records as one uint8 array: per
+    entry a u16 id length, the UTF-8 id and `dim` little-endian float32s.
+    Ids of one byte length are written as one 2-D block: when all share
+    one, so are the whole records."""
     head = io.BytesIO()
     write_header(head, BANK_MAGIC, BANK_VERSION)
     write_str(head, bank.kind_name)
     count, step = len(bank.rows), 4 * bank.dim
     head.write(struct.pack("<IQ", bank.dim, count))
-    ids = [img_id.encode("utf-8") for img_id in bank.rows]
-    lens = np.fromiter(map(len, ids), dtype=np.int64, count=count)
+    text = "".join(bank.rows)
+    if text.isascii():  # a character is a byte: encode every id at once
+        joined = text.encode("ascii")
+        lens = np.fromiter(map(len, bank.rows), dtype=np.int64, count=count)
+    else:
+        ids = [img_id.encode("utf-8") for img_id in bank.rows]
+        joined = b"".join(ids)
+        lens = np.fromiter(map(len, ids), dtype=np.int64, count=count)
     if count and lens.max() > 0xFFFF:
         raise ValueError(f"an image id of {lens.max()} UTF-8 bytes exceeds the u16 length")
-    header = head.getvalue()
+    joined = np.frombuffer(joined, dtype=np.uint8)
+    rows = np.fromiter(bank.rows.values(), dtype=np.intp, count=count)
+    vectors = bank.matrix[rows].view(np.uint8).reshape(count, step)
+    n = int(lens[0]) if count else 0
+    if not (lens != n).any():
+        records = np.empty((count, 2 + n + step), dtype=np.uint8)
+        records[:, 0], records[:, 1] = n & 0xFF, n >> 8
+        records[:, 2:2 + n] = joined.reshape(count, n)
+        records[:, 2 + n:] = vectors
+        return head.getvalue(), records.reshape(-1)
     sizes = 2 + lens + step
-    starts = np.cumsum(sizes) - sizes + len(header)
-    out = np.empty(len(header) + int(sizes.sum()), dtype=np.uint8)
-    out[:len(header)] = np.frombuffer(header, dtype=np.uint8)
-    out[starts] = lens & 0xFF
-    out[starts + 1] = lens >> 8
-    # byte j of the joined ids lands at its record's id start plus j's
-    # offset into that record's id
+    starts = np.cumsum(sizes) - sizes
+    records = np.empty(int(sizes.sum()), dtype=np.uint8)
+    records[starts] = lens & 0xFF
+    records[starts + 1] = lens >> 8
+    _windows(records, step)[starts + 2 + lens] = vectors
     id_starts = np.cumsum(lens) - lens
-    out[np.arange(int(lens.sum())) + np.repeat(starts + 2 - id_starts, lens)] = \
-        np.frombuffer(b"".join(ids), dtype=np.uint8)
-    if count:
-        vectors = bank.matrix[np.fromiter(bank.rows.values(), dtype=np.intp, count=count)]
-        sliding_window_view(out, step, writeable=True)[starts + 2 + lens] = \
-            vectors.view(np.uint8).reshape(count, step)
-    return out.tobytes()
+    # group the records by id length; a stable sort of u16 is a radix sort
+    order = np.argsort(lens.astype(np.uint16), kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
+        n = int(lens[group[0]])
+        _windows(records, n)[starts[group] + 2] = _windows(joined, n)[id_starts[group]]
+    return head.getvalue(), records
+
+
+def write_bank(buf, bank: FeatureBank):
+    """Write the FBNK v1 encoding of `bank` to `buf`, anything with `write`."""
+    header, records = _bank_records(bank)
+    buf.write(header)
+    buf.write(records)
+
+
+def bank_to_bytes(bank: FeatureBank) -> bytes:
+    buf = io.BytesIO()
+    write_bank(buf, bank)
+    return buf.getvalue()
 
 
 # a record that follows this many records whose ids have its byte length
@@ -388,7 +419,7 @@ def bank_from_bytes(data: bytes) -> FeatureBank:
 
 def save_bank(bank: FeatureBank, path):
     with open(path, "wb") as fh:
-        fh.write(bank_to_bytes(bank))
+        write_bank(fh, bank)
 
 
 def load_bank(path) -> FeatureBank:
@@ -516,6 +547,8 @@ def read_pgm(path) -> np.ndarray:
         if not token.isdigit():
             raise DataFormatError(f"PGM header token {token!r} is not a decimal integer")
     width, height, maxval = (int(t) for t in tokens[1:])
+    if not width or not height:
+        raise DataFormatError(f"PGM image of width {width} and height {height} has no pixels")
     if not 0 < maxval <= 255:
         raise DataFormatError(f"unsupported PGM maxval {maxval}")
     pos += 1  # the single whitespace byte after maxval

@@ -8,7 +8,7 @@ keyed by (seed, stream ids), so identical seeds give identical streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,10 +32,12 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
 
 @dataclass
 class DenseLayer:
-    """Affine layer y = x W + b with weights (in_dim, out_dim), bias (out_dim,)."""
+    """Affine layer y = x W + b with weights (in_dim, out_dim), bias (out_dim,).
+    `grad`, if set, is where `dense_backward` writes the layer's gradient."""
 
     weights: np.ndarray
     bias: np.ndarray
+    grad: LayerGrad | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -49,8 +51,14 @@ class DenseLayer:
         self.check_finite()
 
     def check_finite(self):
-        """Raise ValueError unless every weight and bias is finite."""
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
+        """Raise ValueError unless every weight and bias is finite. A NaN or
+        inf makes its column's weight sum plus bias non-finite, so the exact
+        elementwise test runs only when one of those is not finite (or
+        overflowed), and no bool array the size of the layer is made."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.add.reduce(self.weights, axis=0) + self.bias
+        if not (np.isfinite(sums).all()
+                or np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("layer parameters must be finite")
 
     @property
@@ -77,6 +85,10 @@ class LayerGrad:
         # np.zeros, unlike np.zeros_like, maps fresh zero pages without
         # writing them, so a gradient nobody reads costs no memory traffic
         return cls(np.zeros(layer.weights.shape), np.zeros(layer.bias.shape))
+
+    @classmethod
+    def empty_like(cls, layer: DenseLayer) -> "LayerGrad":
+        return cls(np.empty(layer.weights.shape), np.empty(layer.bias.shape))
 
 
 def init_dense(in_dim: int, out_dim: int, rng: np.random.Generator) -> DenseLayer:
@@ -147,7 +159,8 @@ def dense_backward(x: np.ndarray, layer: DenseLayer, upstream: np.ndarray, *,
 
     Returns (grad, downstream) with d_weights = x^T upstream (outer product
     for single vectors), d_bias = upstream summed over the batch, and
-    downstream = upstream W^T. Each part is computed only when asked for:
+    downstream = upstream W^T, the gradient written into `layer.grad` when
+    the layer has one. Each part is computed only when asked for:
     `params=False` skips the weight matmul and bias sum of a layer whose
     update would be discarded (a frozen layer) and returns grad None;
     `inputs=False` skips the input gradient of a layer whose input needs
@@ -161,27 +174,47 @@ def dense_backward(x: np.ndarray, layer: DenseLayer, upstream: np.ndarray, *,
         raise ShapeError(f"upstream has {upstream.shape[-1]} features, "
                          f"layer outputs {layer.out_dim}")
     grad = downstream = None
-    if params and x.ndim == 1:
-        grad = LayerGrad(np.outer(x, upstream), upstream.copy())
-    elif params:
-        grad = LayerGrad(x.T @ upstream, np.add.reduce(upstream, axis=0))
+    if params:
+        grad = layer.grad if layer.grad is not None else LayerGrad.empty_like(layer)
+        if x.ndim == 1:
+            np.outer(x, upstream, out=grad.d_weights)
+            np.copyto(grad.d_bias, upstream)
+        else:
+            np.matmul(x.T, upstream, out=grad.d_weights)
+            np.add.reduce(upstream, axis=0, out=grad.d_bias)
     if inputs:
         downstream = upstream @ layer.weights.T
     return grad, downstream
+
+
+def sgd_update(param: np.ndarray, g: np.ndarray, lr: float, weight_decay: float = 0.0,
+               momentum: float = 0.0, velocity: np.ndarray | None = None):
+    """One SGD step for one array, in place: v = m * v + g + wd * w, then
+    w -= lr * v (v is `velocity`, needed when momentum > 0). `g` is
+    overwritten with lr * v, so the step makes no array-sized temporary
+    (weight decay makes one, for wd * w)."""
+    step = g
+    if weight_decay > 0:
+        step += weight_decay * param
+    if momentum > 0:
+        velocity *= momentum
+        velocity += step
+        step = velocity
+    param -= np.multiply(step, lr, out=g)
 
 
 def sgd_step(layer: DenseLayer, grad: LayerGrad, lr: float) -> DenseLayer:
     """In-place plain SGD update: params <- params - lr * grad.
 
     lr = 0 is accepted and leaves the layer bit-identical. `grad` itself
-    is never modified.
+    is never modified: `sgd_update` steps from a copy of it.
     """
     if lr < 0:
         raise ValueError(f"learning rate must be nonnegative, got {lr}")
     if grad.d_weights.shape != layer.weights.shape or grad.d_bias.shape != layer.bias.shape:
         raise ShapeError("gradient shapes do not match layer shapes")
-    layer.weights -= lr * grad.d_weights
-    layer.bias -= lr * grad.d_bias
+    sgd_update(layer.weights, grad.d_weights.copy(), lr)
+    sgd_update(layer.bias, grad.d_bias.copy(), lr)
     return layer
 
 

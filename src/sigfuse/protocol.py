@@ -209,8 +209,10 @@ def _pin_blas_to_one_thread() -> str:
     """Run the OpenBLAS that numpy loaded on one thread; return a line
     naming the library and its thread count, or why it was left alone.
 
-    OpenBLAS splits gemv and gemm over output elements, never over the
-    reduction, so a score has the same bits at any thread count.
+    Bits are reproducible for one seed, BLAS kernel and thread count.
+    OpenBLAS may split a product's reduction over threads, so other
+    thread counts can give other bits; the server's 1-row trunk products
+    are checked to give the same replies at 1 thread as at the default.
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:

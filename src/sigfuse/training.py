@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .evaluate import UndefinedAPError, evaluate_mask
 from .model import HybridNet, Profile, build_net, net_backward, set_trainable
-from .nn import make_rng
+from .nn import LayerGrad, make_rng, sgd_update
 
 # rng stream tags
 _TAG_SHUFFLE = 20
@@ -87,30 +87,18 @@ def write_logs(rows: list[dict], path):
 
 
 def _apply_updates(layers, grads, cfg: TrainConfig, velocities):
-    """One SGD step, in place, for `layers` from their `grads` (in the
-    same order): v = m * v + g + wd * w, then w -= lr * v.
-
-    The step owns the gradient buffers: each is overwritten with lr * step
-    and then subtracted, so the update makes no temporary the size of a
-    layer (weight decay makes one, for wd * w). `velocities` maps an
-    array's position among the weights and biases to its v.
-    """
+    """One `sgd_update` for each weight and bias array of `layers` from
+    their `grads` (in the same order), which the step overwrites.
+    `velocities` maps an array's position among the weights and biases
+    to its v."""
     if cfg.lr == 0:
         return  # no parameter moves; velocities feed nothing else
     pairs = (pair for layer, g in zip(layers, grads)
              for pair in ((layer.weights, g.d_weights), (layer.bias, g.d_bias)))
     for i, (param, g) in enumerate(pairs):
-        step = g
-        if cfg.weight_decay > 0:
-            step += cfg.weight_decay * param
-        if cfg.momentum > 0:
-            if i not in velocities:
-                velocities[i] = np.zeros(param.shape)
-            v = velocities[i]
-            v *= cfg.momentum
-            v += step
-            step = v
-        param -= np.multiply(step, cfg.lr, out=g)
+        if cfg.momentum > 0 and i not in velocities:
+            velocities[i] = np.zeros(param.shape)
+        sgd_update(param, g, cfg.lr, cfg.weight_decay, cfg.momentum, velocities.get(i))
 
 
 def _policy_kinds(mask_policy: str, net: HybridNet) -> list[str]:
@@ -136,7 +124,8 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     goes through `DenseLayer.copy`, whose finiteness check stops a
     diverged net from being kept. An improving last epoch is never
     restored, so it is checked in place, not copied. When the best epoch
-    is not the last, its checkpoint is moved back into `net`.
+    is not the last, its checkpoint is moved back into `net`. Each
+    learning layer holds one gradient buffer for the stage.
     """
     if not any(net.trainable.values()):
         raise ValueError("no trainable group in this stage")
@@ -149,32 +138,39 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     layers = [layer for g in learning for layer in net.group_layers(g)]
     velocities = {}
     best, best_map, best_epoch = None, -np.inf, -1
-    for epoch in range(1, epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        total_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            if mask_policy == "moddrop":
-                mask = [train_kinds[drop_rng.integers(len(train_kinds))]]
-            else:
-                mask = train_kinds
-            batch = {k: xs[k][idx] for k in mask}
-            grads, loss = net_backward(batch, mask, net, y[idx])
-            _apply_updates(layers, [lg for g in learning for lg in grads[g]], cfg, velocities)
-            total_loss += loss * len(idx)
-            if on_batch is not None:
-                on_batch(net, list(mask))
-        val_map = validation_map(net, dataset, list(val_mask))
-        logs.append({"epoch": epoch, "stage": stage,
-                     "train_loss": total_loss / n, "val_map": val_map})
-        if val_map > best_map:
-            best = None  # free the old checkpoint before copying the new one
-            if epoch < epochs:
-                best = [layer.copy() for layer in layers]
-            else:
-                for layer in layers:
-                    layer.check_finite()
-            best_map, best_epoch = val_map, epoch
+    for layer in layers:
+        layer.grad = LayerGrad.empty_like(layer)
+    try:
+        for epoch in range(1, epochs + 1):
+            perm = shuffle_rng.permutation(n)
+            total_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                if mask_policy == "moddrop":
+                    mask = [train_kinds[drop_rng.integers(len(train_kinds))]]
+                else:
+                    mask = train_kinds
+                batch = {k: xs[k][idx] for k in mask}
+                grads, loss = net_backward(batch, mask, net, y[idx])
+                _apply_updates(layers, [lg for g in learning for lg in grads[g]], cfg,
+                               velocities)
+                total_loss += loss * len(idx)
+                if on_batch is not None:
+                    on_batch(net, list(mask))
+            val_map = validation_map(net, dataset, list(val_mask))
+            logs.append({"epoch": epoch, "stage": stage,
+                         "train_loss": total_loss / n, "val_map": val_map})
+            if val_map > best_map:
+                best = None  # free the old checkpoint before copying the new one
+                if epoch < epochs:
+                    best = [layer.copy() for layer in layers]
+                else:
+                    for layer in layers:
+                        layer.check_finite()
+                best_map, best_epoch = val_map, epoch
+    finally:
+        for layer in layers:
+            layer.grad = None
     if best_epoch != epochs:
         for layer, kept in zip(layers, best):
             layer.weights, layer.bias = kept.weights, kept.bias

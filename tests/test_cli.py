@@ -784,3 +784,47 @@ class TestSynthManifest:
         payload = make_rng(3).integers(0, 256, (5 << 19) + 7).astype(np.uint8).tobytes()
         path.write_bytes(payload)
         assert _sha256(path) == hashlib.sha256(payload).hexdigest()
+
+
+class TestExtractLbpInputClasses:
+    """A PGM with no pixels is a data error (3); a cell larger than the
+    images is a usage error (2), found before any descriptor is computed."""
+
+    @pytest.mark.parametrize("width, height", [(0, 30), (30, 0), (0, 0)])
+    def test_pgm_without_pixels(self, tmp_path, capsys, width, height):
+        img_dir = tmp_path / "pgm"
+        img_dir.mkdir()
+        (img_dir / "a.pgm").write_bytes(b"P5\n%d %d\n255\n" % (width, height))
+        out = tmp_path / "x.fbnk"
+        assert run(["extract-lbp", "--images", str(img_dir), "--cell-size", "10",
+                    "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"data error: PGM image of width {width} and height {height} "
+                       "has no pixels\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape, cell", [((30, 30), 40), ((40, 30), 31), ((30, 40), 31)])
+    def test_cell_larger_than_the_images(self, tmp_path, monkeypatch, capsys, shape, cell):
+        import sigfuse.cli as cli
+        img_dir = tmp_path / "pgm"
+        img_dir.mkdir()
+        for i in range(3):
+            write_pgm(img_dir / f"face_{i}.pgm", np.full(shape, 7 * i, dtype=np.uint8))
+        monkeypatch.setattr(cli.data_mod, "lbp_extract",
+                            lambda *a: pytest.fail("a descriptor was computed"))
+        out = tmp_path / "x.fbnk"
+        assert run(["extract-lbp", "--images", str(img_dir), "--cell-size", str(cell),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"usage error: --cell-size {cell} is larger than the "
+                       f"{shape[0]}x{shape[1]} images\n")
+        assert not out.exists()
+
+    def test_cell_as_large_as_the_images(self, tmp_path):
+        img_dir = tmp_path / "pgm"
+        img_dir.mkdir()
+        write_pgm(img_dir / "a.pgm", np.arange(600).reshape(20, 30) % 251)
+        out = tmp_path / "x.fbnk"
+        assert run(["extract-lbp", "--images", str(img_dir), "--cell-size", "20",
+                    "--out", str(out)]) == 0
+        assert load_bank(out).dim == 58

@@ -711,3 +711,56 @@ class TestSignalingNan:
                          lambda: load_trunk(path)):
                 with pytest.raises(ModelFormatError, match="^layer parameters must be finite$"):
                     load()
+
+
+WRITER_BANKS = {
+    **RUN_BANKS,
+    "every id length 0-40, shuffled": [
+        ids_of_lengths([n])[0] if n else "" for n in
+        make_rng(3, 9).permutation(np.repeat(np.arange(41), 3)).tolist()],
+    "one long id among short ones": ids_of_lengths([4] * 20) + ["q" * 300] + ["r"],
+    "an empty id last": ["a", "bb", ""],
+    "non-ASCII ids of many lengths": ["é" * (i % 7 + 1) + str(i) for i in range(60)],
+}
+
+
+class TestFbnkWriterBlocks:
+    """`save_bank` and `write_bank` write the records straight from the
+    array they build: one 2-D block when every id has one byte length,
+    one block of ids per length otherwise. The bytes are the reference's."""
+
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    @pytest.mark.parametrize("case", list(WRITER_BANKS))
+    def test_bytes_match_the_reference(self, tmp_path, case, dim):
+        bank = bank_of(WRITER_BANKS[case], dim=dim)
+        expected = ref_bank_to_bytes(bank)
+        buf = io.BytesIO()
+        data_mod.write_bank(buf, bank)
+        assert buf.getvalue() == expected
+        assert bank_to_bytes(bank) == expected
+        data_mod.save_bank(bank, tmp_path / "b.fbnk")
+        assert (tmp_path / "b.fbnk").read_bytes() == expected
+
+    def test_rows_out_of_order(self):
+        """Deleted, overwritten and grown entries leave the id -> row map
+        out of matrix order; the records follow the map's order."""
+        bank = bank_of(ids_of_lengths([3, 5] * 12), dim=2)
+        for i in range(20):
+            bank.add(f"extra{i}", np.full(2, float(i)))
+        for img_id in list(bank.entries)[::3]:
+            del bank.entries[img_id]
+        for img_id in list(bank.entries)[:4]:
+            bank.entries[img_id] = np.full(2, 7.0)
+        assert list(bank.rows.values()) != sorted(bank.rows.values())
+        assert bank_to_bytes(bank) == ref_bank_to_bytes(bank)
+
+    def test_uniform_ids_as_one_block(self):
+        """A bank whose ids share one byte length is written as one
+        (count, 2 + length + 4 * dim) block, with no per-byte index."""
+        bank = bank_of(RUN_BANKS["10k uniform ids"], dim=4)
+        header, records = data_mod._bank_records(bank)
+        assert records.dtype == np.uint8 and records.flags.c_contiguous
+        block = records.reshape(10000, 2 + 12 + 16)
+        assert (block[:, 0] == 12).all() and (block[:, 1] == 0).all()
+        assert block[:, 2:14].tobytes() == "".join(bank.rows).encode()
+        assert header + records.tobytes() == ref_bank_to_bytes(bank)

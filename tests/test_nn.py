@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -282,3 +284,113 @@ class TestSeededRng:
         a = make_rng(123, 4).standard_normal(10)
         b = make_rng(123, 5).standard_normal(10)
         assert not np.array_equal(a, b)
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+class TestGradientBuffer:
+    """`dense_backward` writes into `layer.grad` when the layer has one,
+    with the bits of fresh arrays and of the plain products."""
+
+    def _case(self, shape_x):
+        rng = make_rng(9, 1)
+        layer = init_dense(7, 5, rng)
+        x = rng.standard_normal(shape_x)
+        up = rng.standard_normal((*shape_x[:-1], 5))
+        up[..., 0] = -0.0  # a 1-D bias gradient is a copy, which keeps the sign
+        return layer, x, up
+
+    @pytest.mark.parametrize("shape_x", [(13, 7), (1, 7), (7,)])
+    def test_same_bits_with_and_without_buffer(self, shape_x):
+        layer, x, up = self._case(shape_x)
+        fresh, down = dense_backward(x, layer, up)
+        buf = LayerGrad(np.full((7, 5), np.nan), np.full(5, np.nan))
+        layer.grad = buf
+        into, down_buf = dense_backward(x, layer, up)
+        assert into is buf
+        assert _bits(into.d_weights) == _bits(fresh.d_weights)
+        assert _bits(into.d_bias) == _bits(fresh.d_bias)
+        assert _bits(down_buf) == _bits(down)
+        if x.ndim == 1:
+            assert _bits(fresh.d_weights) == _bits(np.outer(x, up))
+            assert _bits(fresh.d_bias) == _bits(up)
+        else:
+            assert _bits(fresh.d_weights) == _bits(x.T @ up)
+            assert _bits(fresh.d_bias) == _bits(np.add.reduce(up, axis=0))
+
+    def test_buffer_is_reused_across_calls(self):
+        layer, x, up = self._case((13, 7))
+        layer.grad = LayerGrad.empty_like(layer)
+        first = dense_backward(x, layer, up)[0]
+        second = dense_backward(x[:4], layer, up[:4])[0]
+        assert first is second is layer.grad
+        assert _bits(second.d_weights) == _bits(x[:4].T @ up[:4])
+
+    @pytest.mark.parametrize("shape_x", [(13, 7), (7,)])
+    def test_params_false_leaves_the_buffer(self, shape_x):
+        layer, x, up = self._case(shape_x)
+        buf = LayerGrad(np.full((7, 5), 3.0), np.full(5, 4.0))
+        layer.grad = buf
+        grad, down = dense_backward(x, layer, up, params=False)
+        assert grad is None and down is not None
+        assert layer.grad is buf
+        assert (buf.d_weights == 3.0).all() and (buf.d_bias == 4.0).all()
+
+    def test_no_buffer_gives_fresh_arrays(self):
+        layer, x, up = self._case((13, 7))
+        a = dense_backward(x, layer, up)[0]
+        b = dense_backward(x, layer, up)[0]
+        assert not np.shares_memory(a.d_weights, b.d_weights)
+        assert not np.shares_memory(a.d_bias, b.d_bias)
+
+    def test_copy_and_construction_carry_no_buffer(self):
+        layer, _, _ = self._case((13, 7))
+        layer.grad = LayerGrad.empty_like(layer)
+        assert layer.copy().grad is None
+        assert DenseLayer(layer.weights, layer.bias).grad is None
+        assert "grad" not in repr(DenseLayer(np.zeros((1, 1)), np.zeros(1)))
+
+
+class TestCheckFiniteScreen:
+    """The column-sum screen in `check_finite` refuses every non-finite
+    value and passes a finite layer whose column sums overflow."""
+
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "+inf", "-inf", "+inf-inf"])
+    def test_refused(self, where, values):
+        weights, bias = np.ones((4, 3)), np.ones(3)
+        for row, v in enumerate(values):
+            if where == "weights":
+                weights[row, 1] = v
+            else:
+                bias[1 + row] = v
+        with pytest.raises(ValueError, match="^layer parameters must be finite$"):
+            DenseLayer(weights, bias)
+        layer = DenseLayer(np.ones((4, 3)), np.ones(3))
+        layer.weights, layer.bias = weights, bias
+        with pytest.raises(ValueError, match="^layer parameters must be finite$"):
+            layer.check_finite()
+
+    @pytest.mark.parametrize("w, b", [(np.inf, -np.inf), (-np.inf, np.inf), (np.nan, 1.0),
+                                      (1.0, np.nan)])
+    def test_weight_and_bias_of_one_column(self, w, b):
+        weights, bias = np.ones((4, 3)), np.ones(3)
+        weights[2, 0], bias[0] = w, b
+        with pytest.raises(ValueError, match="^layer parameters must be finite$"):
+            DenseLayer(weights, bias)
+
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_overflowing_column_sum_passes_silently(self, where):
+        weights, bias = np.ones((4, 3)), np.ones(3)
+        if where == "weights":
+            weights[1:3, 2] = 1e308
+        else:  # the bias adds to its column's weight sum
+            weights[1, 2] = bias[2] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            layer = DenseLayer(weights, bias)
+            layer.check_finite()
+            layer.copy()

@@ -584,3 +584,126 @@ class TestConfigTypes:
     def test_edge_values_accepted(self):
         cfg = TrainConfig(lr=1, batch_size=1, epochs=1, seed=0, momentum=0, weight_decay=0.0)
         assert (cfg.lr, cfg.seed) == (1, 0)
+
+
+class TestStageGradientBuffers:
+    """Within a stage every batch writes its gradients into one buffer per
+    learning layer; no layer holds a buffer outside a stage."""
+
+    @staticmethod
+    def _all_layers(net):
+        return [layer for g in net.group_ids() for layer in net.group_layers(g)]
+
+    @pytest.mark.parametrize("policy, frozen", [("full", ()), ("moddrop", ()),
+                                                ("single:fv", ("trunk", "cnn", "lbp"))])
+    def test_one_buffer_per_learning_layer(self, policy, frozen):
+        dataset = make_dataset(n_train=160)
+        cfg = dataclasses.replace(QUICK, epochs=2)
+        net = build_net(dataset.kind_dims(), profile_for(dataset, DESK), cfg.seed)
+        for group in frozen:
+            set_trainable(net, group, False)
+        learning = [layer for g in net.group_ids() if g not in frozen
+                    for layer in net.group_layers(g)]
+        seen, copies = [], []
+
+        def on_batch(net, mask):
+            seen.append([layer.grad for layer in self._all_layers(net)])
+            copies.append(net.copy())
+
+        run_stage(net, dataset, cfg, stage="s", mask_policy=policy,
+                  val_mask=["fv"], shuffle_key=0, epochs=cfg.epochs, logs=[],
+                  on_batch=on_batch)
+        assert len(seen) == 10
+        first = seen[0]
+        for grads in seen:
+            assert all(a is b for a, b in zip(grads, first))
+        for layer, grad in zip(self._all_layers(net), first):
+            if any(layer is l for l in learning):
+                assert grad.d_weights.shape == layer.weights.shape
+                assert grad.d_bias.shape == layer.bias.shape
+            else:
+                assert grad is None
+        assert all(layer.grad is None for layer in self._all_layers(net))
+        assert all(layer.grad is None for c in copies for layer in self._all_layers(c))
+
+    def test_backward_writes_into_the_buffers(self, monkeypatch):
+        dataset = make_dataset(n_train=160)
+        cfg = dataclasses.replace(QUICK, epochs=2)
+        net = build_net(dataset.kind_dims(), profile_for(dataset, DESK), cfg.seed)
+        real_backward = training.net_backward
+        batches = []
+
+        def recording_backward(batch, mask, net, labels):
+            grads, loss = real_backward(batch, mask, net, labels)
+            batches.append(all(lg is layer.grad for g in net.group_ids()
+                               for lg, layer in zip(grads[g], net.group_layers(g))))
+            return grads, loss
+
+        monkeypatch.setattr(training, "net_backward", recording_backward)
+        run_stage(net, dataset, cfg, stage="s", mask_policy="full",
+                  val_mask=net.kind_names(), shuffle_key=0, epochs=cfg.epochs, logs=[])
+        assert batches == [True] * 10
+
+    def test_cleared_after_a_non_finite_last_epoch(self, monkeypatch):
+        dataset = make_dataset(n_train=160)
+        cfg = dataclasses.replace(QUICK, epochs=3)
+        net = build_net(dataset.kind_dims(), profile_for(dataset, DESK), cfg.seed)
+        epochs_done = []
+
+        def rising_map(net, dataset, mask):
+            epochs_done.append(len(epochs_done) + 1)
+            return 0.1 * len(epochs_done)
+
+        def poison(net, mask):
+            assert all(layer.grad is not None for layer in self._all_layers(net))
+            if len(epochs_done) == 2:  # inside the third and last epoch
+                net.trunk.out.weights[0, 0] = np.inf
+
+        monkeypatch.setattr(training, "validation_map", rising_map)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="^layer parameters must be finite$"):
+            run_stage(net, dataset, cfg, stage="s", mask_policy="full",
+                      val_mask=net.kind_names(), shuffle_key=0, epochs=cfg.epochs,
+                      logs=[], on_batch=poison)
+        assert all(layer.grad is None for layer in self._all_layers(net))
+
+    def test_net_backward_outside_a_stage_gives_fresh_arrays(self):
+        dataset = make_dataset(n_train=160)
+        net = build_net(dataset.kind_dims(), profile_for(dataset, DESK), 0)
+        _, xs, y = dataset.arrays("train")
+        batch = {k: v[:8] for k, v in xs.items()}
+        a, _ = net_backward(batch, net.kind_names(), net, y[:8])
+        b, _ = net_backward(batch, net.kind_names(), net, y[:8])
+        for g in net.group_ids():
+            for ga, gb in zip(a[g], b[g]):
+                assert not np.shares_memory(ga.d_weights, gb.d_weights)
+                assert ga.d_weights.tobytes() == gb.d_weights.tobytes()
+
+
+class TestOneSgdRule:
+    """`nn.sgd_step` and `run_stage`'s update share `nn.sgd_update`."""
+
+    def test_sgd_step_has_the_bits_of_the_stage_update(self):
+        from sigfuse.nn import sgd_step
+        rng = make_rng(4, 2)
+        layer = DenseLayer(rng.standard_normal((6, 3)), rng.standard_normal(3))
+        twin = layer.copy()
+        grad = training.LayerGrad(rng.standard_normal((6, 3)), rng.standard_normal(3))
+        kept = (grad.d_weights.copy(), grad.d_bias.copy())
+        sgd_step(layer, grad, 0.037)
+        assert grad.d_weights.tobytes() == kept[0].tobytes()
+        assert grad.d_bias.tobytes() == kept[1].tobytes()
+        spent = training.LayerGrad(kept[0].copy(), kept[1].copy())
+        training._apply_updates([twin], [spent], TrainConfig(lr=0.037), {})
+        assert layer.weights.tobytes() == twin.weights.tobytes()
+        assert layer.bias.tobytes() == twin.bias.tobytes()
+
+    def test_sgd_step_goes_through_sgd_update(self, monkeypatch):
+        import sigfuse.nn as nn
+        sgd_step = nn.sgd_step
+        calls = []
+        real = nn.sgd_update
+        monkeypatch.setattr(nn, "sgd_update", lambda *a: calls.append(a) or real(*a))
+        layer = DenseLayer(np.ones((2, 2)), np.ones(2))
+        sgd_step(layer, training.LayerGrad(np.ones((2, 2)), np.ones(2)), 0.5)
+        assert [a[0] is p for a, p in zip(calls, (layer.weights, layer.bias))] == [True, True]
