@@ -1,4 +1,5 @@
-"""Little-endian binary helpers shared by the FBNK and HNET codecs.
+"""Little-endian binary helpers shared by the FBNK and HNET codecs, and
+the atomic writer every artifact file goes through.
 
 Strings are u16-length-prefixed UTF-8. A reader raises the caller's error
 class, so a bad bank is a `DataFormatError` and a bad model a
@@ -8,7 +9,33 @@ class, so a bad bank is a `DataFormatError` and a bad model a
 from __future__ import annotations
 
 import io
+import os
+import secrets
 import struct
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_file(path):
+    """A binary file that replaces `path` (making its missing parents) only
+    when the block completes. Its mode is 0o666 less the umask, as `open` gives."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write(path, payload: bytes):
+    with atomic_file(path) as fh:
+        fh.write(payload)
 
 
 def write_header(out, magic: bytes, version: int):

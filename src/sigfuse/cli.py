@@ -1,9 +1,12 @@
 """Command line front end.
 
-Subcommands: synth, extract-lbp, train, eval, serve, query. Every
-artifact-producing command writes a manifest next to its outputs with the
-fully resolved configuration and artifact hashes; re-running from that
-manifest reproduces the outputs byte-identically.
+Subcommands: synth, extract-lbp, train, eval, serve, query. `train` and
+`synth` write a manifest next to their outputs with the fully resolved
+configuration and the hashes of the files that run wrote; `train
+--from-manifest` replays a train manifest into a byte-identical model.
+Every file the CLI writes goes through `binfmt.atomic_file`, and every
+file named beside another (a log, a manifest, a report) is that path's
+name plus a suffix.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime error.
 """
@@ -15,13 +18,13 @@ import dataclasses
 import hashlib
 import json
 import os
-import secrets
 import sys
-from contextlib import contextmanager
+from contextlib import suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import data as data_mod
+from .binfmt import atomic_file, atomic_write
 from .data import (DataFormatError, Dataset, SyntheticSpec, ViewSpec,
                    format_attr_file, format_split_file, load_bank,
                    parse_attr_file, parse_split_file, write_bank)
@@ -49,27 +52,14 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-@contextmanager
-def _atomic_file(path):
-    """A binary file that replaces `path` only when the block completes.
-    It is made with mode 0o666 less the umask, as `open` would make it."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write(path, payload: bytes):
-    with _atomic_file(path) as fh:
-        fh.write(payload)
+def _write_manifest(path, command: str, config: dict, artifacts: dict, **sections):
+    """The JSON manifest of a `command` run: its config, any further
+    `sections` (train's outputs), the sha256 of each of `artifacts`
+    (key -> path) and the time it was written, in that key order."""
+    manifest = {"command": command, "config": config, **sections,
+                "artifacts": {key: _sha256(p) for key, p in artifacts.items()},
+                "created": datetime.now(timezone.utc).isoformat()}
+    atomic_write(path, json.dumps(manifest, indent=2).encode() + b"\n")
 
 
 def _parse_banks(pairs: list[str]) -> dict[str, str]:
@@ -78,6 +68,8 @@ def _parse_banks(pairs: list[str]) -> dict[str, str]:
         name, _, path = pair.partition("=")
         if not name or not path:
             raise UsageError(f"--bank expects name=path, got {pair!r}")
+        if name in banks:
+            raise UsageError(f"--bank names kind {name!r} twice")
         banks[name] = path
     if not banks:
         raise UsageError("at least one --bank name=path is required")
@@ -198,20 +190,14 @@ def cmd_train(args) -> int:
     # split without examples or positives fails first, as a data error
     result = run_schedule(stages, dataset, cfg, PROFILES[cfg_map["profile"]])
     out = Path(args.out)
-    log_path = Path(args.log) if args.log else out.with_suffix(out.suffix + ".log.csv")
-    manifest_path = (Path(args.manifest) if args.manifest
-                     else out.with_suffix(out.suffix + ".manifest.json"))
-    with _atomic_file(out) as fh:
+    log_path = Path(args.log or out.with_name(out.name + ".log.csv"))
+    manifest_path = Path(args.manifest or out.with_name(out.name + ".manifest.json"))
+    with atomic_file(out) as fh:
         write_model(fh, result.net)
     write_logs(result.logs, log_path)
-    manifest = {
-        "command": "train",
-        "config": cfg_map,
-        "outputs": {"model": str(out), "log": str(log_path)},
-        "artifacts": {"model_sha256": _sha256(out), "log_sha256": _sha256(log_path)},
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
-    _atomic_write(manifest_path, json.dumps(manifest, indent=2).encode() + b"\n")
+    _write_manifest(manifest_path, "train", cfg_map,
+                    {"model_sha256": out, "log_sha256": log_path},
+                    outputs={"model": str(out), "log": str(log_path)})
     print(f"wrote {out}, {log_path}, {manifest_path}")
     return EXIT_OK
 
@@ -226,8 +212,8 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.attrs, args.split_file, banks, net)
     report = combination_sweep(net, dataset, args.split)
     prefix = Path(args.out_prefix)
-    _atomic_write(prefix.with_suffix(".csv"), report_emit(report, "csv").encode())
-    _atomic_write(prefix.with_suffix(".md"), report_emit(report, "markdown").encode())
+    for suffix, fmt in ((".csv", "csv"), (".md", "markdown")):
+        atomic_write(prefix.with_name(prefix.name + suffix), report_emit(report, fmt).encode())
     print(f"evaluated {len(report.masks)} masks; aggregate mean AP "
           f"{report.aggregate_mean:.4f} +/- {report.aggregate_std:.4f}")
     return EXIT_OK
@@ -257,7 +243,7 @@ def cmd_extract_lbp(args) -> int:
             raise DataFormatError(f"{path.name} is {img.shape}, expected {shape} "
                                   "(all images must share one size)")
         bank.add(path.stem, data_mod.lbp_extract(img, args.cell_size))
-    with _atomic_file(args.out) as fh:
+    with atomic_file(args.out) as fh:
         write_bank(fh, bank)
     print(f"wrote {args.out}: {len(bank.entries)} images, dim {bank.dim}")
     return EXIT_OK
@@ -293,24 +279,18 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / "attrs.txt", out_dir / "partition.txt"]
-    _atomic_write(written[0], format_attr_file(table).encode())
-    _atomic_write(written[1], format_split_file(table.splits).encode())
+    atomic_write(written[0], format_attr_file(table).encode())
+    atomic_write(written[1], format_split_file(table.splits).encode())
     for name, bank in banks.items():
         written.append(out_dir / f"{name}.fbnk")
-        with _atomic_file(written[-1]) as fh:
+        with atomic_file(written[-1]) as fh:
             write_bank(fh, bank)
-    manifest = {
-        "command": "synth",
-        "config": {"latent_dim": spec.latent_dim, "attributes": spec.n_attributes,
-                   "views": [[v.name, v.dim, v.noise] for v in views],
-                   "counts": [spec.n_train, spec.n_val, spec.n_test],
-                   "seed": spec.seed},
-        "artifacts": {p.name: _sha256(p) for p in sorted(written)},
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
-    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2).encode() + b"\n")
+    _write_manifest(out_dir / "manifest.json", "synth",
+                    {"latent_dim": spec.latent_dim, "attributes": spec.n_attributes,
+                     "views": [[v.name, v.dim, v.noise] for v in views],
+                     "counts": [spec.n_train, spec.n_val, spec.n_test], "seed": spec.seed},
+                    {p.name: p for p in sorted(written)})
     print(f"wrote {len(banks)} banks and attribute table to {out_dir}")
     return EXIT_OK
 
@@ -334,15 +314,11 @@ def cmd_serve(args) -> int:
         port = _parse_port(args.port, "--port", 0)
     else:
         port = _parse_port(os.environ.get("SIGFUSE_PORT") or "0", "SIGFUSE_PORT", 0)
-    server = serve(model, args.host, port)
-    host, bound_port = server.endpoint
-    print(f"serving {model} on {host}:{bound_port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
+    with serve(model, args.host, port) as server:  # its exit closes the listening socket
+        host, bound_port = server.endpoint
+        print(f"serving {model} on {host}:{bound_port}", flush=True)
+        with suppress(KeyboardInterrupt):
+            server.serve_forever()
     return EXIT_OK
 
 
@@ -351,13 +327,14 @@ def cmd_query(args) -> int:
     if not host:
         raise UsageError(f"--endpoint expects host:port, got {args.endpoint!r}")
     port = _parse_port(port, "--endpoint", 1)
+    bank_paths = _parse_banks(args.bank)
     net = load_model(args.model)
     try:
         mask = normalize_mask([k.strip() for k in args.mask.split(",") if k.strip()], net)
     except ValueError as exc:
         raise UsageError(f"--mask: {exc}")
     features = {}
-    for kind, bank in _load_banks(_parse_banks(args.bank), mask, net).items():
+    for kind, bank in _load_banks(bank_paths, mask, net).items():
         if args.id not in bank.entries:
             raise DataFormatError(f"image {args.id!r} not in bank {kind!r}")
         features[kind] = bank.entries[args.id]

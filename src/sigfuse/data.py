@@ -57,29 +57,38 @@ class AttributeTable:
         return [i for i in self.rows if self.splits.get(i) == split]
 
 
+def _claim(first_line: dict[str, int], img_id: str, lineno: int):
+    """Record that `img_id` is on line `lineno`; a repeated id is refused."""
+    if img_id in first_line:
+        raise DataFormatError(f"line {lineno}: image id {img_id!r} repeats "
+                              f"line {first_line[img_id]}")
+    first_line[img_id] = lineno
+
+
 def parse_attr_file(text: str) -> AttributeTable:
     """Parse the CelebA attribute list convention.
 
     Line 1: image count; line 2: the L attribute names; then one row per
-    image: id followed by L values in {-1, 1}, mapped to {0, 1}.
+    image: id followed by L values in {-1, 1}, mapped to {0, 1}. Blank
+    lines are skipped; messages give a line's number in the file.
     """
-    lines = [l for l in text.splitlines() if l.strip()]
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if len(lines) < 2:
         raise DataFormatError("attribute file needs a count line and a name line")
+    (count_no, count_line), (_, names_line) = lines[:2]
     try:
-        count = int(lines[0].split()[0])
+        count = int(count_line.split()[0])
     except ValueError:
-        raise DataFormatError(f"line 1: expected an image count, got {lines[0]!r}")
-    names = lines[1].split()
-    if not names:
-        raise DataFormatError("line 2: no attribute names")
-    rows = {}
-    for lineno, line in enumerate(lines[2:], start=3):
+        raise DataFormatError(f"line {count_no}: expected an image count, got {count_line!r}")
+    names = names_line.split()
+    rows, first_line = {}, {}
+    for lineno, line in lines[2:]:
         tokens = line.split()
         if len(tokens) != len(names) + 1:
             raise DataFormatError(f"line {lineno}: expected id plus {len(names)} values, "
                                   f"got {len(tokens)} tokens")
         img_id = tokens[0]
+        _claim(first_line, img_id, lineno)
         vals = np.empty(len(names), dtype=np.uint8)
         for j, tok in enumerate(tokens[1:]):
             if tok == "1":
@@ -102,14 +111,16 @@ def format_attr_file(table: AttributeTable) -> str:
 
 
 def parse_split_file(text: str) -> dict[str, str]:
-    """CelebA partition convention: one `id 0|1|2` pair per line."""
-    splits = {}
+    """CelebA partition convention: one `id 0|1|2` pair per line, each id
+    on one line only."""
+    splits, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         tokens = line.split()
         if len(tokens) != 2 or tokens[1] not in ("0", "1", "2"):
             raise DataFormatError(f"line {lineno}: expected 'id 0|1|2', got {line!r}")
+        _claim(first_line, tokens[0], lineno)
         splits[tokens[0]] = SPLIT_NAMES[int(tokens[1])]
     return splits
 
@@ -594,7 +605,10 @@ class SyntheticSpec:
         counts = (self.n_train, self.n_val, self.n_test)
         if min(counts) < 0 or sum(counts) == 0:
             raise ValueError(f"split counts must be >= 0 with a positive total, got {counts}")
+        names = [v.name for v in self.views]
         for v in self.views:
+            if names.count(v.name) > 1:
+                raise ValueError(f"view {v.name!r} is named twice")
             if v.dim <= 0:
                 raise ValueError(f"view {v.name!r} dim must be positive")
             if not (np.isfinite(v.noise) and v.noise >= 0):

@@ -18,6 +18,7 @@ import socketserver
 import struct
 import sys
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,33 +151,28 @@ def score_signature(net: HybridNet, values: np.ndarray) -> tuple[int, np.ndarray
     return STATUS_OK, trunk_forward(values, net.trunk)
 
 
+def _reply(net: HybridNet, frame: bytes) -> bytes:
+    """The reply to one whole request frame; any fault in scoring is status 3."""
+    request = decode_request(frame)
+    try:
+        status, scores = score_signature(net, request.values)
+    except Exception:
+        status, scores = STATUS_SERVER_ERROR, np.empty(0)
+    return encode_response(status, scores)
+
+
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
-        net = self.server.net
         sock = self.request
-        sock.settimeout(READ_TIMEOUT_S)  # TimeoutError is an OSError: close
-        while True:
-            try:
-                frame = _read_frame(sock)
-                if not frame:
-                    return
-                request = decode_request(frame)
-            except FrameError:
-                try:
-                    sock.sendall(encode_response(STATUS_BAD_FRAME))
-                except OSError:
-                    pass
-                return
-            except OSError:
-                return
-            try:
-                status, scores = score_signature(net, request.values)
-            except Exception:
-                status, scores = STATUS_SERVER_ERROR, np.empty(0)
-            try:
-                sock.sendall(encode_response(status, scores))
-            except OSError:
-                return
+        sock.settimeout(READ_TIMEOUT_S)
+        try:
+            while frame := _read_frame(sock):
+                sock.sendall(_reply(self.server.net, frame))
+        except FrameError:  # malformed or cut: one status-1 reply, then close
+            with suppress(OSError):
+                sock.sendall(encode_response(STATUS_BAD_FRAME))
+        except OSError:  # a reset, or a stall past READ_TIMEOUT_S: close
+            pass
 
 
 class SignatureServer(socketserver.ThreadingTCPServer):

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binfmt import atomic_file
 from .data import Dataset
 from .evaluate import UndefinedAPError, evaluate_mask
 from .model import HybridNet, Profile, build_net, net_backward, set_trainable
@@ -80,7 +82,7 @@ def profile_for(dataset: Dataset, base: Profile) -> Profile:
 
 
 def write_logs(rows: list[dict], path):
-    with open(path, "w", newline="") as fh:
+    with atomic_file(path) as raw, io.TextIOWrapper(raw, "utf-8", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["epoch", "stage", "train_loss", "val_map"])
         w.writeheader()
         w.writerows(rows)

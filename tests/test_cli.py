@@ -828,3 +828,145 @@ class TestExtractLbpInputClasses:
         assert run(["extract-lbp", "--images", str(img_dir), "--cell-size", "20",
                     "--out", str(out)]) == 0
         assert load_bank(out).dim == 58
+
+
+def eval_args(synth_dir, model, prefix, split="test"):
+    return ["eval", "--model", str(model), "--attrs", str(synth_dir / "attrs.txt"),
+            "--split-file", str(synth_dir / "partition.txt"),
+            *(f"--bank={k}={synth_dir / k}.fbnk" for k in ("fv", "cnn", "lbp")),
+            "--split", split, "--out-prefix", str(prefix)]
+
+
+class TestLogThroughTheAtomicWriter:
+    """The epoch log is written like every other artifact: into a missing
+    directory, and whole or not at all."""
+
+    def test_log_into_a_missing_directory(self, synth_dir, tmp_path):
+        out, log = tmp_path / "m.hnet", tmp_path / "logs" / "deep" / "m.csv"
+        assert run(train_args(synth_dir, out, extra=("--log", str(log)))) == 0
+        assert log.read_text().splitlines()[0] == "epoch,stage,train_loss,val_map"
+        manifest = json.loads(out.with_name("m.hnet.manifest.json").read_text())
+        assert manifest["outputs"]["log"] == str(log)
+        assert manifest["artifacts"]["log_sha256"] == hashlib.sha256(
+            log.read_bytes()).hexdigest()
+
+    def test_a_write_that_fails_partway_leaves_no_file(self, tmp_path, monkeypatch):
+        import csv
+        from sigfuse.training import write_logs
+        rows = [{"epoch": e, "stage": "s", "train_loss": 0.5, "val_map": 0.25}
+                for e in range(3)]
+        path = tmp_path / "log.csv"
+        write_logs(rows[:1], path)
+        old = path.read_bytes()
+
+        def fail_after_first(self, rows):
+            self.writerow(rows[0])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(csv.DictWriter, "writerows", fail_after_first)
+        with pytest.raises(OSError, match="disk full"):
+            write_logs(rows, path)
+        with pytest.raises(OSError, match="disk full"):
+            write_logs(rows, tmp_path / "new.csv")
+        assert os.listdir(tmp_path) == ["log.csv"]
+        assert path.read_bytes() == old
+
+
+class TestReportNames:
+    """An eval prefix keeps its dots: each report is the prefix's name
+    plus .csv or .md."""
+
+    def test_dotted_prefixes_give_four_files(self, synth_dir, tmp_path):
+        model = tmp_path / "m.hnet"
+        assert run(train_args(synth_dir, model, "allfeat", extra=("--epochs", "1"))) == 0
+        assert run(eval_args(synth_dir, model, tmp_path / "r.test")) == 0
+        assert run(eval_args(synth_dir, model, tmp_path / "r.val", "val")) == 0
+        names = ["r.test.csv", "r.test.md", "r.val.csv", "r.val.md"]
+        assert sorted(p.name for p in tmp_path.glob("r.*")) == names
+        assert len({(tmp_path / n).read_bytes() for n in names}) == 4
+
+    def test_a_plain_prefix(self, synth_dir, tmp_path):
+        model = tmp_path / "m.hnet"
+        assert run(train_args(synth_dir, model, "allfeat", extra=("--epochs", "1"))) == 0
+        assert run(eval_args(synth_dir, model, tmp_path / "out" / "report")) == 0
+        assert sorted(os.listdir(tmp_path / "out")) == ["report.csv", "report.md"]
+
+
+class TestManifestKeyOrder:
+    def test_train(self, synth_dir, tmp_path):
+        out = tmp_path / "m.hnet"
+        assert run(train_args(synth_dir, out)) == 0
+        manifest = json.loads((tmp_path / "m.hnet.manifest.json").read_text())
+        assert list(manifest) == ["command", "config", "outputs", "artifacts", "created"]
+        assert manifest["command"] == "train"
+        assert manifest["outputs"] == {"model": str(out),
+                                       "log": str(tmp_path / "m.hnet.log.csv")}
+        assert list(manifest["artifacts"]) == ["model_sha256", "log_sha256"]
+        assert list(manifest["config"]) == [
+            "lr", "batch_size", "epochs", "seed", "momentum", "weight_decay",
+            "regime", "profile", "attrs", "split", "banks"]
+
+    def test_synth(self, synth_dir):
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        assert list(manifest) == ["command", "config", "artifacts", "created"]
+        assert manifest["command"] == "synth"
+        assert manifest["config"] == {"latent_dim": 6, "attributes": 4,
+                                      "views": [["fv", 10, 0.05], ["cnn", 8, 0.15],
+                                                ["lbp", 6, 0.4]],
+                                      "counts": [120, 40, 40], "seed": 5}
+        assert list(manifest["config"]) == ["latent_dim", "attributes", "views",
+                                            "counts", "seed"]
+        assert list(manifest["artifacts"]) == ["attrs.txt", "cnn.fbnk", "fv.fbnk",
+                                               "lbp.fbnk", "partition.txt"]
+
+
+class TestServeClosesItsSocket:
+    def test_on_keyboard_interrupt(self, tmp_path, monkeypatch):
+        import socket
+        import sigfuse.cli as cli
+        from sigfuse.model import load_trunk
+        from sigfuse.protocol import SignatureServer
+        model = tmp_path / "m.hnet"
+        save_model(build_net([("fv", 4)], PROFILES["desk"], seed=0), model)
+        servers = []
+
+        def serve(path, host, port):  # as protocol.serve, but leaves BLAS alone
+            servers.append(SignatureServer(load_trunk(path), host, port))
+            return servers[-1]
+
+        def interrupt(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "serve", serve)
+        monkeypatch.setattr(SignatureServer, "service_actions", interrupt)
+        assert run(["serve", "--model", str(model), "--port", "0"]) == 0
+        endpoint = servers[0].server_address
+        assert servers[0].socket.fileno() == -1
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(endpoint, timeout=2)
+
+
+class TestNamedTwice:
+    """A synth view or a --bank kind given twice is a usage error, and
+    nothing is written or read."""
+
+    def test_synth_view(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run(["synth", "--out-dir", str(out), "--view", "fv:4:0.1",
+                    "--view", "fv:6:0.2"]) == 2
+        assert capsys.readouterr().err == "usage error: view 'fv' is named twice\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "query"])
+    def test_bank_kind(self, tmp_path, capsys, command):
+        model = tmp_path / "absent.hnet"  # the flags are refused before any read
+        banks = ["--bank", f"fv={tmp_path / 'a.fbnk'}", "--bank", f"fv={tmp_path / 'b.fbnk'}"]
+        argv = {"train": ["train", "--regime", "allfeat", "--attrs", "a", "--split-file", "s",
+                          *banks, "--out", str(tmp_path / "x.hnet")],
+                "eval": ["eval", "--model", str(model), "--attrs", "a", "--split-file", "s",
+                         *banks, "--out-prefix", str(tmp_path / "r")],
+                "query": ["query", "--model", str(model), "--endpoint", "127.0.0.1:1",
+                          "--mask", "fv", *banks, "--id", "a"]}[command]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "usage error: --bank names kind 'fv' twice\n"
+        assert os.listdir(tmp_path) == []

@@ -69,6 +69,39 @@ class TestSplitFiles:
             parse_split_file("a 3\n")
 
 
+class TestTextFileLineNumbers:
+    """Attribute and partition file errors name the file's own line
+    numbers, blank lines counted, and a repeated image id names both of
+    its lines."""
+
+    def test_bad_label_after_blank_lines(self):
+        with pytest.raises(DataFormatError, match="^line 6: label must be -1 or 1, got '2'$"):
+            parse_attr_file("2\nA B\n\nimg1 1 -1\n\nimg2 1 2\n")
+
+    def test_count_line_after_blank_lines(self):
+        with pytest.raises(DataFormatError, match="^line 3: expected an image count"):
+            parse_attr_file("\n\nmany\nA\nimg1 1\n")
+
+    def test_repeated_attribute_row(self):
+        with pytest.raises(DataFormatError, match="^line 5: image id 'img1' repeats line 3$"):
+            parse_attr_file("2\nA\nimg1 1\n\nimg1 -1\n")
+
+    def test_repeated_split_line(self):
+        with pytest.raises(DataFormatError, match="^line 4: image id 'a' repeats line 1$"):
+            parse_split_file("a 0\nb 1\n\na 2\n")
+
+    def test_blank_lines_keep_the_rows(self):
+        table = parse_attr_file("\n2\n\nA B\nx 1 -1\n\ny -1 1\n\n")
+        assert table.names == ["A", "B"] and list(table.rows) == ["x", "y"]
+        assert parse_split_file("\nx 0\n\ny 2\n") == {"x": "train", "y": "test"}
+
+
+class TestSyntheticViewNames:
+    def test_a_view_named_twice_is_refused(self):
+        with pytest.raises(ValueError, match="view 'fv' is named twice"):
+            SyntheticSpec(4, (ViewSpec("fv", 4, 0.1), ViewSpec("fv", 6, 0.2)), 2, 8, 4, 4)
+
+
 class TestSplitDataset:
     def _table(self, n=100):
         rows = {f"i{k}": np.array([k % 2], dtype=np.uint8) for k in range(n)}

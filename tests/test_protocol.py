@@ -235,6 +235,45 @@ class TestServer:
         assert results == expected
 
 
+class TestOneReplyPerFrame:
+    """On one connection every request frame gets its own reply, and a
+    fault while scoring one frame does not end the connection."""
+
+    def test_nan_payload_then_a_valid_frame(self, server):
+        dim, n_attr = server.net.signature_dim, server.net.n_outputs
+        nan = np.full(dim, np.nan)
+        data = raw_exchange(server.endpoint, encode_request(nan, 1)
+                            + encode_request(np.ones(dim), 1))
+        first, second = data[:8], data[8:]
+        assert decode_response(first).status == STATUS_SERVER_ERROR
+        assert decode_response(second).status == STATUS_OK
+        assert len(second) == 8 + 4 * n_attr
+
+    def test_a_scoring_fault_is_status_3_and_the_next_frame_is_scored(self, server,
+                                                                        monkeypatch):
+        real = protocol.score_signature
+        calls = []
+
+        def flaky(net, values):
+            calls.append(1)
+            if len(calls) == 1:
+                raise MemoryError("scoring fault")
+            return real(net, values)
+
+        monkeypatch.setattr(protocol, "score_signature", flaky)
+        frame = encode_request(np.ones(server.net.signature_dim), 1)
+        data = raw_exchange(server.endpoint, frame + frame)
+        assert decode_response(data[:8]).status == STATUS_SERVER_ERROR
+        assert decode_response(data[8:]).status == STATUS_OK
+
+    def test_a_bad_frame_after_a_good_one_ends_the_connection(self, server):
+        good = encode_request(np.ones(server.net.signature_dim), 1)
+        data = raw_exchange(server.endpoint, good + b"GARBAGE-" + bytes(8) + good)
+        ok_size = 8 + 4 * server.net.n_outputs
+        assert decode_response(data[:ok_size]).status == STATUS_OK
+        assert decode_response(data[ok_size:]).status == STATUS_BAD_FRAME
+
+
 class TestReadDeadline:
     """A client that stalls mid-frame or between frames is disconnected
     after READ_TIMEOUT_S, and its handler thread ends."""
