@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
+
 # Predictions are clamped to [BCE_EPS, 1 - BCE_EPS] inside the loss to
 # avoid log(0).
 BCE_EPS = 1e-7
@@ -54,9 +56,14 @@ class DenseLayer:
         """Raise ValueError unless every weight and bias is finite. A NaN or
         inf makes its column's weight sum plus bias non-finite, so the exact
         elementwise test runs only when one of those is not finite (or
-        overflowed), and no bool array the size of the layer is made."""
+        overflowed), and no bool array the size of the layer is made. A
+        layer of `blas.MIN_SIZE` weights or more sums them with a
+        matrix-vector product, on BLAS's threads; below that its set-up
+        costs more than the one-core sum."""
+        w = self.weights
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = np.add.reduce(self.weights, axis=0) + self.bias
+            sums = (np.dot(np.ones(self.in_dim), w) if w.size >= blas.MIN_SIZE
+                    else np.add.reduce(w, axis=0)) + self.bias
         if not (np.isfinite(sums).all()
                 or np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("layer parameters must be finite")
@@ -192,15 +199,34 @@ def sgd_update(param: np.ndarray, g: np.ndarray, lr: float, weight_decay: float 
     """One SGD step for one array, in place: v = m * v + g + wd * w, then
     w -= lr * v (v is `velocity`, needed when momentum > 0). `g` is
     overwritten with lr * v, so the step makes no array-sized temporary
-    (weight decay makes one, for wd * w)."""
+    (weight decay makes one, for wd * w). lr = 0 changes nothing, not
+    even `g` or `v`. Arrays of `blas.MIN_SIZE` elements or more run their
+    whole-array passes through `blas`, on BLAS's threads; smaller ones
+    call numpy's ufuncs directly, which costs them less. Both give the
+    same bits."""
+    if lr == 0:
+        return
     step = g
+    if param.size < blas.MIN_SIZE:
+        if weight_decay > 0:
+            step += weight_decay * param
+        if momentum > 0:
+            velocity *= momentum
+            velocity += step
+            step = velocity
+        param -= np.multiply(step, lr, out=g)
+        return
     if weight_decay > 0:
-        step += weight_decay * param
+        blas.add(step, weight_decay * param, 1)
     if momentum > 0:
-        velocity *= momentum
-        velocity += step
+        blas.scale(velocity, momentum)
+        blas.add(velocity, step, 1)
         step = velocity
-    param -= np.multiply(step, lr, out=g)
+    if step is g:
+        blas.scale(g, lr)
+    else:
+        np.multiply(step, lr, out=g)
+    blas.add(param, g, -1)
 
 
 def sgd_step(layer: DenseLayer, grad: LayerGrad, lr: float) -> DenseLayer:

@@ -12,7 +12,6 @@ Statuses: 0 ok, 1 bad frame, 2 dimension mismatch, 3 server error.
 
 from __future__ import annotations
 
-import ctypes
 import socket
 import socketserver
 import struct
@@ -20,10 +19,10 @@ import sys
 import threading
 from contextlib import suppress
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .model import (HybridNet, encode_signature, load_trunk, mask_to_bits,
                     trunk_forward)
 
@@ -202,30 +201,22 @@ class SignatureServer(socketserver.ThreadingTCPServer):
 
 
 def _pin_blas_to_one_thread() -> str:
-    """Run the OpenBLAS that numpy loaded on one thread; return a line
-    naming the library and its thread count, or why it was left alone.
+    """Run the OpenBLAS that numpy loaded (`blas.openblas`) on one thread;
+    return a line naming the library and its thread count, or why it was
+    left alone.
 
     Bits are reproducible for one seed, BLAS kernel and thread count.
     OpenBLAS may split a product's reduction over threads, so other
     thread counts can give other bits; the server's 1-row trunk products
     are checked to give the same replies at 1 thread as at the default.
+    The elementwise passes of a training step (`blas.scale`, `blas.add`)
+    split no reduction, so their bits hold at any kernel and thread count.
     """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
-        try:
-            handle = ctypes.CDLL(str(lib))  # the copy numpy already loaded
-        except OSError as exc:
-            return f"blas: cannot open {lib.name} ({exc}); thread count left as is"
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                     "openblas_set_num_threads"):
-            setter = getattr(handle, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                getter = getattr(handle, name.replace("_set_", "_get_"))
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return f"blas: {lib.name} threads={getter()}"
-    return f"blas: no OpenBLAS thread setter in {libs}; thread count left as is"
+    lib = blas.openblas()
+    if lib is None or lib.set_threads is None or lib.threads is None:
+        return f"blas: no OpenBLAS thread setter in {blas.LIBS}; thread count left as is"
+    lib.set_threads(1)
+    return f"blas: {lib.name} threads={lib.threads()}"
 
 
 def serve(model_path, host: str = "127.0.0.1", port: int = 0) -> SignatureServer:

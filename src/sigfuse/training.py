@@ -93,8 +93,6 @@ def _apply_updates(layers, grads, cfg: TrainConfig, velocities):
     their `grads` (in the same order), which the step overwrites.
     `velocities` maps an array's position among the weights and biases
     to its v."""
-    if cfg.lr == 0:
-        return  # no parameter moves; velocities feed nothing else
     pairs = (pair for layer, g in zip(layers, grads)
              for pair in ((layer.weights, g.d_weights), (layer.bias, g.d_bias)))
     for i, (param, g) in enumerate(pairs):

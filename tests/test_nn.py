@@ -274,6 +274,24 @@ class TestSgdStep:
             sgd_step(layer, LayerGrad(np.zeros((2, 2)), np.zeros(2)), 0.1)
 
 
+class TestSgdLrZero:
+    """lr = 0 leaves a layer bit-identical, whatever its gradient holds."""
+
+    def test_signed_zero_and_infinite_gradient(self):
+        layer = DenseLayer(np.array([[-0.0, 1.0]]), np.array([0.0, -0.0]))
+        before = layer.weights.tobytes() + layer.bias.tobytes()
+        with np.errstate(all="raise"):
+            sgd_step(layer, LayerGrad(np.array([[-2.0, np.inf]]), np.array([np.nan, 3.0])), 0.0)
+        assert layer.weights.tobytes() + layer.bias.tobytes() == before
+
+    def test_update_leaves_gradient_and_velocity(self):
+        from sigfuse.nn import sgd_update
+        w, g, v = np.array([-0.0, 1.0]), np.array([-2.0, np.inf]), np.array([np.inf, -0.0])
+        kept = [a.tobytes() for a in (w, g, v)]
+        sgd_update(w, g, 0.0, weight_decay=0.1, momentum=0.9, velocity=v)
+        assert [a.tobytes() for a in (w, g, v)] == kept
+
+
 class TestSeededRng:
     def test_same_seed_same_stream(self):
         a = make_rng(123, 4).standard_normal(10)
