@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+from operator import iadd, imul, isub
 from pathlib import Path
 
 import numpy as np
@@ -111,3 +112,11 @@ def add(y: np.ndarray, x: np.ndarray, sign: int) -> None:
         y += x
     else:
         y -= x
+
+
+def ops(a: np.ndarray):
+    """The in-place (scale, add, subtract) for arrays the size of `a`: numpy's
+    operators below `MIN_SIZE`, where they cost less, else `scale` and `add`."""
+    if a.size < MIN_SIZE:
+        return imul, iadd, isub
+    return scale, functools.partial(add, sign=1), functools.partial(add, sign=-1)

@@ -224,6 +224,8 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_extract_lbp(args) -> int:
+    if not args.kind:
+        raise UsageError("--kind must be non-empty")
     if args.cell_size < 1:
         raise UsageError(f"--cell-size must be positive, got {args.cell_size}")
     image_dir = Path(args.images)

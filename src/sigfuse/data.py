@@ -607,6 +607,8 @@ class SyntheticSpec:
             raise ValueError(f"split counts must be >= 0 with a positive total, got {counts}")
         names = [v.name for v in self.views]
         for v in self.views:
+            if not v.name:
+                raise ValueError("view names must be non-empty")
             if names.count(v.name) > 1:
                 raise ValueError(f"view {v.name!r} is named twice")
             if v.dim <= 0:

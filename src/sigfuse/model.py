@@ -134,7 +134,7 @@ def build_net(kinds: list[tuple[str, int]], profile: Profile, seed: int) -> Hybr
     branch's initialization does not depend on how many other kinds exist
     or in which order they were trained.
     """
-    _check_kind_count(len(kinds))
+    _check_kinds(len(kinds), tuple(name for name, _ in kinds))
     fkinds = [FeatureKind(i, name, dim) for i, (name, dim) in enumerate(kinds)]
     branches = [init_branch(k, profile, seed) for k in fkinds]
     rng = make_rng(seed, _TAG_TRUNK)
@@ -146,10 +146,19 @@ def build_net(kinds: list[tuple[str, int]], profile: Profile, seed: int) -> Hybr
     return HybridNet(fkinds, branches, trunk)
 
 
-def _check_kind_count(count: int):
+def _check_kinds(count: int, names: tuple[str, ...] = (), error=ValueError):
+    """The kind table's rule: 1 to MAX_KINDS kinds, with non-empty, distinct
+    names. A reader checks `count` alone before it reads any name."""
     if count > MAX_KINDS:
-        raise ValueError(f"a net holds at most {MAX_KINDS} feature kinds (one bit each in "
-                         f"the request mask byte), got {count}")
+        raise error(f"a net holds at most {MAX_KINDS} feature kinds (one bit each in "
+                    f"the request mask byte), got {count}")
+    if count < 1:
+        raise error("a net holds at least one feature kind, got 0")
+    if "" in names:
+        raise error("feature kind names must be non-empty")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise error(f"feature kind {name!r} is named twice")
 
 
 def init_branch(kind: FeatureKind, profile: Profile, seed: int) -> BranchParams:
@@ -164,9 +173,7 @@ def add_branch(net: HybridNet, name: str, input_dim: int, profile: Profile,
                seed: int) -> HybridNet:
     """Graft a freshly initialized branch for a new feature kind onto an
     existing net; no other parameter group is touched."""
-    if name in net.kind_names():
-        raise ValueError(f"kind {name!r} already exists")
-    _check_kind_count(len(net.kinds) + 1)
+    _check_kinds(len(net.kinds) + 1, (*net.kind_names(), name))
     if profile.signature_dim != net.signature_dim:
         raise ShapeError(f"profile signature dim {profile.signature_dim} does not "
                          f"match net signature dim {net.signature_dim}")
@@ -420,11 +427,13 @@ def _read_model(stream, keep_branches: bool = True) -> HybridNet:
     rd = Reader(stream, ModelFormatError, "model")
     rd.header(MODEL_MAGIC, MODEL_VERSION)
     (n_kinds,) = rd.unpack("<I")
+    _check_kinds(n_kinds, error=ModelFormatError)
     kinds = []
     for i in range(n_kinds):
         name = rd.read_str()
         (dim,) = rd.unpack("<I")
         kinds.append(FeatureKind(i, name, dim))
+    _check_kinds(n_kinds, tuple(k.name for k in kinds), ModelFormatError)
     chunk = np.empty(_CHUNK, dtype="<f4")
     branches, sig_dim = [], None
     for k in kinds:

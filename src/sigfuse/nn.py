@@ -200,33 +200,20 @@ def sgd_update(param: np.ndarray, g: np.ndarray, lr: float, weight_decay: float 
     w -= lr * v (v is `velocity`, needed when momentum > 0). `g` is
     overwritten with lr * v, so the step makes no array-sized temporary
     (weight decay makes one, for wd * w). lr = 0 changes nothing, not
-    even `g` or `v`. Arrays of `blas.MIN_SIZE` elements or more run their
-    whole-array passes through `blas`, on BLAS's threads; smaller ones
-    call numpy's ufuncs directly, which costs them less. Both give the
-    same bits."""
+    even `g` or `v`. `blas.ops` picks the passes for the array's size;
+    every choice gives the same bits."""
     if lr == 0:
         return
-    step = g
-    if param.size < blas.MIN_SIZE:
-        if weight_decay > 0:
-            step += weight_decay * param
-        if momentum > 0:
-            velocity *= momentum
-            velocity += step
-            step = velocity
-        param -= np.multiply(step, lr, out=g)
-        return
+    scale, add, subtract = blas.ops(param)
     if weight_decay > 0:
-        blas.add(step, weight_decay * param, 1)
+        add(g, weight_decay * param)
     if momentum > 0:
-        blas.scale(velocity, momentum)
-        blas.add(velocity, step, 1)
-        step = velocity
-    if step is g:
-        blas.scale(g, lr)
+        scale(velocity, momentum)
+        add(velocity, g)
+        np.multiply(velocity, lr, out=g)
     else:
-        np.multiply(step, lr, out=g)
-    blas.add(param, g, -1)
+        scale(g, lr)
+    subtract(param, g)
 
 
 def sgd_step(layer: DenseLayer, grad: LayerGrad, lr: float) -> DenseLayer:

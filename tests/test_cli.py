@@ -970,3 +970,66 @@ class TestNamedTwice:
         assert run(argv) == 2
         assert capsys.readouterr().err == "usage error: --bank names kind 'fv' twice\n"
         assert os.listdir(tmp_path) == []
+
+
+def save_named(path, names):
+    """An HNET whose kind table is `names`, written past the checks that
+    `build_net` makes: every branch shares one branch's layers."""
+    from sigfuse.model import FeatureKind, HybridNet
+    base = build_net([("a", 10)], PROFILES["desk"], seed=0)
+    kinds = [FeatureKind(i, name, 10) for i, name in enumerate(names)]
+    save_model(HybridNet(kinds, [base.branches[0]] * len(kinds), base.trunk), path)
+
+
+class TestKindTableExitCodes:
+    """An HNET with more than 8 kinds, none, or a name given twice is a
+    data error for every command that loads one; a kind named '' is a
+    usage error, and nothing is written."""
+
+    def test_serve_nine_kinds(self, tmp_path, capsys, monkeypatch):
+        from sigfuse import protocol
+
+        def served(self, *args, **kwargs):
+            raise AssertionError("a 9-kind model was served")
+
+        # should the model load, fail at once and leave this process's BLAS alone
+        monkeypatch.setattr(protocol, "_pin_blas_to_one_thread", lambda: "")
+        monkeypatch.setattr(protocol.SignatureServer, "serve_forever", served)
+        model = tmp_path / "nine.hnet"
+        save_named(model, [f"k{i}" for i in range(9)])
+        assert run(["serve", "--model", str(model), "--port", "0"]) == 3
+        assert "at most 8 feature kinds" in capsys.readouterr().err
+
+    def test_query_nine_kinds(self, tmp_path, capsys):
+        model = tmp_path / "nine.hnet"
+        save_named(model, [f"k{i}" for i in range(9)])
+        assert run(["query", "--model", str(model), "--endpoint", "127.0.0.1:1",
+                    "--mask", "k8", "--bank", f"k8={tmp_path / 'k8.fbnk'}",
+                    "--id", "a"]) == 3
+        assert "at most 8 feature kinds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names,error", [(["fv", "cnn", "fv"], "'fv' is named twice"),
+                                             ([], "at least one feature kind")])
+    def test_eval(self, synth_dir, tmp_path, capsys, names, error):
+        model = tmp_path / "odd.hnet"
+        save_named(model, names)
+        prefix = tmp_path / "report"
+        assert run(eval_args(synth_dir, model, prefix)) == 3
+        assert error in capsys.readouterr().err
+        assert not list(tmp_path.glob("report*"))
+
+    def test_synth_view_named_empty(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run(["synth", "--out-dir", str(out), "--view", ":4:0.1"]) == 2
+        assert capsys.readouterr().err == "usage error: view names must be non-empty\n"
+        assert not out.exists()
+
+    def test_extract_lbp_kind_empty(self, tmp_path, capsys):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        write_pgm(img_dir / "a.pgm", np.zeros((20, 20), dtype=np.uint8))
+        out = tmp_path / "x.fbnk"
+        assert run(["extract-lbp", "--images", str(img_dir), "--cell-size", "10",
+                    "--kind", "", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "usage error: --kind must be non-empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["imgs"]

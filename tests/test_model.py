@@ -360,3 +360,61 @@ class TestProfiles:
         b = build_net([("fv", 6), ("cnn", 5), ("lbp", 4)], DESK, seed=0)
         assert group_bytes(a, "fv") == group_bytes(b, "fv")
         assert group_bytes(a, "cnn") == group_bytes(b, "cnn")
+
+
+def net_named(names):
+    """A net whose kind table is `names`, built with the unchecked
+    constructor: every branch shares one branch's layers."""
+    base = build_net([("a", 2)], DESK, seed=0)
+    kinds = [FeatureKind(i, name, 2) for i, name in enumerate(names)]
+    return HybridNet(kinds, [base.branches[0]] * len(kinds), base.trunk)
+
+
+BAD_TABLES = [
+    ([f"k{i}" for i in range(9)], "at most 8 feature kinds.*got 9"),
+    (["fv", "cnn", "fv"], "feature kind 'fv' is named twice"),
+    ([], "at least one feature kind, got 0"),
+    (["fv", ""], "names must be non-empty"),
+]
+
+
+class TestKindTable:
+    """One rule for a kind table, from 1 to 8 kinds with non-empty,
+    distinct names, held by `build_net`, `add_branch` and both loaders."""
+
+    @pytest.mark.parametrize("names,error", BAD_TABLES)
+    def test_build_net_refuses(self, names, error):
+        with pytest.raises(ValueError, match=error):
+            build_net([(name, 2) for name in names], DESK, seed=0)
+
+    @pytest.mark.parametrize("names,error", BAD_TABLES)
+    @pytest.mark.parametrize("keep_branches", [True, False])
+    def test_loaders_refuse(self, tmp_path, names, error, keep_branches):
+        from sigfuse.model import load_trunk
+        path = tmp_path / "m.hnet"
+        save_model(net_named(names), path)
+        with pytest.raises(ModelFormatError, match=error):
+            (load_model if keep_branches else load_trunk)(path)
+        with pytest.raises(ModelFormatError, match=error):
+            model_from_bytes(path.read_bytes())
+
+    @pytest.mark.parametrize("name,error", [("fv", "'fv' is named twice"),
+                                            ("", "non-empty")])
+    def test_add_branch_refuses(self, name, error):
+        net = build_net([("fv", 2)], DESK, seed=0)
+        with pytest.raises(ValueError, match=error):
+            add_branch(net, name, 2, DESK, seed=0)
+        assert net.kind_names() == ["fv"] and len(net.branches) == 1
+
+    @pytest.mark.parametrize("count", [0, 9, 0xFFFFFFFF])
+    def test_count_is_checked_before_any_name(self, count):
+        import struct
+        data = b"HNET" + struct.pack("<HI", 1, count)  # no kind table follows
+        with pytest.raises(ModelFormatError, match=f"feature kinds?.*got {count}"):
+            model_from_bytes(data)
+
+    def test_eight_distinct_kinds_load(self, tmp_path):
+        names = [f"k{i}" for i in range(MAX_KINDS)]
+        path = tmp_path / "m.hnet"
+        save_model(net_named(names), path)
+        assert load_model(path).kind_names() == names

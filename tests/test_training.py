@@ -707,3 +707,28 @@ class TestOneSgdRule:
         layer = DenseLayer(np.ones((2, 2)), np.ones(2))
         sgd_step(layer, training.LayerGrad(np.ones((2, 2)), np.ones(2)), 0.5)
         assert [a[0] is p for a, p in zip(calls, (layer.weights, layer.bias))] == [True, True]
+
+
+class TestOneSgdRulePasses:
+    """`sgd_update` is one body: the passes `blas.ops` hands it run in the
+    same order on either side of `blas.MIN_SIZE`."""
+
+    @pytest.mark.parametrize("n", [7, 1 << 18])
+    def test_momentum_and_weight_decay_passes(self, monkeypatch, n):
+        from sigfuse import blas
+        from sigfuse.nn import sgd_update
+        assert blas.MIN_SIZE == 1 << 18
+        seen, real_ops = [], blas.ops
+
+        def recording_ops(a):
+            return [lambda *args, name=name, op=op: seen.append(name) or op(*args)
+                    for name, op in zip(("scale", "add", "subtract"), real_ops(a))]
+
+        monkeypatch.setattr(blas, "ops", recording_ops)
+        rng = make_rng(9, n)
+        param, g, v = (rng.standard_normal(n) for _ in range(3))
+        want_v = 0.9 * v + (g + 0.01 * param)
+        want = param - 0.05 * want_v
+        sgd_update(param, g, 0.05, 0.01, 0.9, v)
+        assert seen == ["add", "scale", "add", "subtract"]
+        assert param.tobytes() == want.tobytes() and v.tobytes() == want_v.tobytes()
