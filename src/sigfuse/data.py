@@ -170,6 +170,8 @@ class FeatureBank:
     """
 
     def __init__(self, kind_name: str, dim: int, entries=None):
+        if not kind_name:  # no `--bank kind=path` flag could name the bank
+            raise ValueError("feature kind names must be non-empty")
         self.kind_name, self.dim = kind_name, dim
         # `_free` is the first row no id has used
         self.matrix, self.rows, self._free = np.empty((0, dim), "<f4"), {}, 0
@@ -424,7 +426,7 @@ def bank_from_bytes(data: bytes) -> FeatureBank:
             seen.add(img_id)
     try:
         return FeatureBank.from_matrix(kind_name, vectors, rows)
-    except ValueError as exc:  # a non-finite vector
+    except ValueError as exc:  # a non-finite vector or an empty kind name
         raise DataFormatError(str(exc)) from None
 
 

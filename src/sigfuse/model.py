@@ -220,8 +220,9 @@ def branch_forward(x: np.ndarray, branch: BranchParams) -> np.ndarray:
 def merge_sum(hs: list[np.ndarray]) -> np.ndarray:
     """Elementwise sum of branch outputs; the universal signature.
 
-    Addends are accumulated in a canonical (byte-sorted) order so any
-    permutation of the inputs yields a bit-identical result.
+    Two or more addends are accumulated in a canonical (byte-sorted)
+    order so any permutation of the inputs yields a bit-identical result:
+    `a + b` and `b + a` differ when both hold NaNs with different payloads.
     """
     if not hs:
         raise ValueError("cannot merge an empty list of branch outputs")
@@ -229,7 +230,7 @@ def merge_sum(hs: list[np.ndarray]) -> np.ndarray:
     dims = {h.shape[-1] for h in hs}
     if len(dims) > 1:
         raise ShapeError(f"branch output lengths differ: {sorted(dims)}")
-    ordered = sorted(hs, key=lambda h: h.tobytes())
+    ordered = sorted(hs, key=lambda h: h.tobytes()) if len(hs) > 1 else hs
     total = ordered[0].copy()
     for h in ordered[1:]:
         total += h

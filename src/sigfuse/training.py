@@ -14,11 +14,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .binfmt import atomic_file
 from .data import Dataset
 from .evaluate import UndefinedAPError, evaluate_mask
@@ -88,17 +90,49 @@ def write_logs(rows: list[dict], path):
         w.writerows(rows)
 
 
-def _apply_updates(layers, grads, cfg: TrainConfig, velocities):
-    """One `sgd_update` for each weight and bias array of `layers` from
-    their `grads` (in the same order), which the step overwrites.
-    `velocities` maps an array's position among the weights and biases
-    to its v."""
-    pairs = (pair for layer, g in zip(layers, grads)
-             for pair in ((layer.weights, g.d_weights), (layer.bias, g.d_bias)))
-    for i, (param, g) in enumerate(pairs):
+def _apply_updates(layers, grads, cfg: TrainConfig, velocities, runs=None):
+    """One `sgd_update` per (parameter, gradient) array pair of `runs`,
+    which overwrites the gradient. The pairs are each weight and bias
+    array of `layers` with its gradient from `grads` (in the same order),
+    unless a stage passes the runs `_pack` made alone. `velocities` maps
+    a pair's position to its v."""
+    if runs is None:
+        runs = [pair for layer, g in zip(layers, grads)
+                for pair in ((layer.weights, g.d_weights), (layer.bias, g.d_bias))]
+    for i, (param, g) in enumerate(runs):
         if cfg.momentum > 0 and i not in velocities:
             velocities[i] = np.zeros(param.shape)
         sgd_update(param, g, cfg.lr, cfg.weight_decay, cfg.momentum, velocities.get(i))
+
+
+def _pack(layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Give `layers` (one group's, in order) gradient buffers for a stage
+    and return the (parameter, gradient) runs that `_apply_updates` steps
+    once each. An array of `blas.MIN_SIZE` elements or more is a run of
+    its own and keeps its storage. Each maximal run of smaller arrays
+    (weights, bias, next weights, ...) is copied into one buffer, and the
+    layers' arrays and gradients become views of it and of its gradient
+    buffer, so that a desk-width group is one step, not one per array."""
+    for layer in layers:
+        layer.grad = LayerGrad.empty_like(layer)
+    slots = [(layer, name) for layer in layers for name in ("weights", "bias")]
+    runs = []
+    for small, run in itertools.groupby(slots, lambda s: getattr(*s).size < blas.MIN_SIZE):
+        run = list(run)
+        if not small:
+            runs += [(getattr(layer, name), getattr(layer.grad, "d_" + name))
+                     for layer, name in run]
+            continue
+        arrays = [getattr(layer, name) for layer, name in run]
+        param = np.concatenate([a.ravel() for a in arrays])
+        grad = np.empty_like(param)
+        cuts = np.cumsum([a.size for a in arrays[:-1]])
+        for (layer, name), a, p, g in zip(run, arrays, np.split(param, cuts),
+                                          np.split(grad, cuts)):
+            setattr(layer, name, p.reshape(a.shape))
+            setattr(layer.grad, "d_" + name, g.reshape(a.shape))
+        runs.append((param, grad))
+    return runs
 
 
 def _policy_kinds(mask_policy: str, net: HybridNet) -> list[str]:
@@ -125,7 +159,10 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     diverged net from being kept. An improving last epoch is never
     restored, so it is checked in place, not copied. When the best epoch
     is not the last, its checkpoint is moved back into `net`. Each
-    learning layer holds one gradient buffer for the stage.
+    learning layer holds one gradient buffer for the stage, and `_pack`
+    lays each learning group out in runs that one SGD step each updates.
+    A group outside a batch's mask (moddrop) steps from zeros, as
+    `net_backward` gives it.
     """
     if not any(net.trainable.values()):
         raise ValueError("no trainable group in this stage")
@@ -138,9 +175,9 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     layers = [layer for g in learning for layer in net.group_layers(g)]
     velocities = {}
     best, best_map, best_epoch = None, -np.inf, -1
-    for layer in layers:
-        layer.grad = LayerGrad.empty_like(layer)
     try:
+        packed = [(g, net.group_layers(g)[0], _pack(net.group_layers(g))) for g in learning]
+        runs = [run for _, _, group_runs in packed for run in group_runs]
         for epoch in range(1, epochs + 1):
             perm = shuffle_rng.permutation(n)
             total_loss = 0.0
@@ -152,8 +189,11 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
                     mask = train_kinds
                 batch = {k: xs[k][idx] for k in mask}
                 grads, loss = net_backward(batch, mask, net, y[idx])
-                _apply_updates(layers, [lg for g in learning for lg in grads[g]], cfg,
-                               velocities)
+                for g, first, group_runs in packed:
+                    if grads[g][0] is not first.grad:  # outside the mask: zeros
+                        for _, grad in group_runs:
+                            grad.fill(0.0)
+                _apply_updates((), (), cfg, velocities, runs)
                 total_loss += loss * len(idx)
                 if on_batch is not None:
                     on_batch(net, list(mask))

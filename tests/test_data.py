@@ -190,6 +190,27 @@ class TestFeatureBank:
             bank.add("a", np.zeros(3))
 
 
+
+class TestEmptyKindName:
+    """No bank may be named '': no `--bank kind=path` flag could name it."""
+
+    def test_constructor_refuses(self):
+        with pytest.raises(ValueError, match="^feature kind names must be non-empty$"):
+            FeatureBank("", 3)
+
+    def test_from_matrix_refuses(self):
+        with pytest.raises(ValueError, match="^feature kind names must be non-empty$"):
+            FeatureBank.from_matrix("", np.zeros((1, 3), "<f4"), {"a": 0})
+
+    def test_file_refused(self):
+        data = bank_to_bytes(FeatureBank("fv", 2, {"a": np.zeros(2, np.float32)}))
+        name_at = 4 + 2  # magic, version
+        assert data[name_at:name_at + 4] == b"\x02\x00fv"
+        data = data[:name_at] + b"\x00\x00" + data[name_at + 4:]
+        with pytest.raises(DataFormatError, match="^feature kind names must be non-empty$"):
+            bank_from_bytes(data)
+
+
 class TestLbpExtract:
     def test_paper_scale_dimension(self):
         img = make_rng(1).integers(0, 256, size=(218, 178)).astype(np.uint8)

@@ -113,6 +113,28 @@ class TestMergeSum:
             merge_sum([np.zeros(3), np.zeros(4)])
 
 
+
+class TestMergeSumOrder:
+    """One addend is copied; two or more are summed in byte order, which
+    is what makes NaN payloads independent of the addends' order."""
+
+    def test_nan_payloads_independent_of_order(self):
+        a = np.array([1.0, 2.0]).view(np.uint64)
+        a[0] = 0x7FF8000000000001
+        b = np.array([3.0, 4.0]).view(np.uint64)
+        b[0] = 0x7FF8000000000002
+        a, b = a.view(np.float64), b.view(np.float64)
+        with np.errstate(invalid="ignore"):
+            assert (a + b).tobytes() != (b + a).tobytes()  # why the sort stays
+        assert merge_sum([a, b]).tobytes() == merge_sum([b, a]).tobytes()
+
+    def test_one_addend_is_a_float64_copy(self):
+        h = np.array([1.5, -0.0, np.nan], dtype=np.float32)
+        total = merge_sum([h])
+        assert total.dtype == np.float64 and not np.shares_memory(total, h)
+        assert total.tobytes() == h.astype(np.float64).tobytes()
+
+
 class TestTrunkForward:
     def test_zero_trunk_scores_half(self):
         trunk = TrunkParams(DenseLayer(np.zeros((4, 3)), np.zeros(3)),

@@ -5,10 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from sigfuse import blas
 from sigfuse.data import Dataset, SyntheticSpec, ViewSpec, synth_generate
 from sigfuse import training
 from sigfuse.model import (PROFILES, add_branch, build_net, group_bytes,
                            model_to_bytes, net_backward, net_forward, set_trainable)
+from sigfuse.model import Profile
 from sigfuse.nn import DenseLayer, bce_loss, make_rng
 from sigfuse.training import (TrainConfig, run_stage, train_allfeatnet,
                               train_allfeatnetinit, train_dedicated,
@@ -732,3 +734,141 @@ class TestOneSgdRulePasses:
         sgd_update(param, g, 0.05, 0.01, 0.9, v)
         assert seen == ["add", "scale", "add", "subtract"]
         assert param.tobytes() == want.tobytes() and v.tobytes() == want_v.tobytes()
+
+
+def group_arrays(net, group):
+    return [a for layer in net.group_layers(group) for a in (layer.weights, layer.bias)]
+
+
+class TestPackedRuns:
+    """`run_stage` copies each learning group's arrays below
+    `blas.MIN_SIZE` into runs of one buffer, steps each run once per
+    batch, and leaves larger arrays where they are."""
+
+    def test_desk_group_is_one_buffer_in_group_order(self):
+        dataset = make_dataset(n_train=160)
+        cfg = dataclasses.replace(QUICK, epochs=1)
+        net = build_net(dataset.kind_dims(), profile_for(dataset, DESK), cfg.seed)
+        run_stage(net, dataset, cfg, stage="s", mask_policy="full",
+                  val_mask=net.kind_names(), shuffle_key=0, epochs=1, logs=[])
+        for group in net.group_ids():
+            arrays = group_arrays(net, group)
+            buffer = arrays[0].base
+            assert buffer is not None and buffer.size == sum(a.size for a in arrays)
+            assert all(a.base is buffer for a in arrays)
+            start = buffer.__array_interface__["data"][0]
+            offsets = [a.__array_interface__["data"][0] - start for a in arrays]
+            assert offsets == np.cumsum([0] + [a.nbytes for a in arrays[:-1]]).tolist()
+
+    def test_arrays_at_the_constant_keep_their_storage(self):
+        dataset = make_dataset(n_train=160, views=(ViewSpec("fv", 24, 0.05),
+                                                   ViewSpec("cnn", 16, 0.2)))
+        # branch layer 2 and trunk layer 3 are 512x512, at the constant
+        profile = profile_for(dataset, Profile(512, 512, 512, 64, 4))
+        net = build_net(dataset.kind_dims(), profile, 1)
+        big = [net.branches[0].layer2.weights, net.branches[1].layer2.weights,
+               net.trunk.layer3.weights]
+        assert {a.size for a in big} == {blas.MIN_SIZE}
+        own_grads = []
+        cfg = dataclasses.replace(QUICK, epochs=1)
+        run_stage(net, dataset, cfg, stage="s", mask_policy="full",
+                  val_mask=net.kind_names(), shuffle_key=0, epochs=1, logs=[],
+                  on_batch=lambda net, mask: own_grads.append(
+                      net.trunk.layer3.grad.d_weights.base is None))
+        after = [net.branches[0].layer2.weights, net.branches[1].layer2.weights,
+                 net.trunk.layer3.weights]
+        assert all(a is b for a, b in zip(after, big))
+        assert own_grads == [True] * 5
+        # the smaller arrays around them are packed: layer 1 with its bias,
+        # and the trunk's last four arrays
+        assert net.branches[0].layer1.bias.base is net.branches[0].layer1.weights.base
+        assert net.trunk.out.weights.base is net.trunk.layer4.weights.base is not None
+
+    @pytest.mark.parametrize("policy, frozen, per_batch", [
+        ("full", (), 4), ("moddrop", (), 4), ("single:fv", ("trunk", "cnn", "lbp"), 1),
+        ("single:cnn", ("fv", "lbp"), 2)])
+    def test_one_update_per_run_per_batch(self, monkeypatch, policy, frozen, per_batch):
+        dataset = make_dataset(n_train=160)
+        cfg = dataclasses.replace(QUICK, epochs=2)
+        net = build_net(dataset.kind_dims(), profile_for(dataset, DESK), cfg.seed)
+        for group in frozen:
+            set_trainable(net, group, False)
+        real, steps, masks = training.sgd_update, [], []
+
+        def spy(param, g, *rest):
+            steps.append(g.copy())
+            return real(param, g, *rest)
+
+        monkeypatch.setattr(training, "sgd_update", spy)
+        run_stage(net, dataset, cfg, stage="s", mask_policy=policy, val_mask=["cnn"],
+                  shuffle_key=0, epochs=cfg.epochs, logs=[],
+                  on_batch=lambda net, mask: masks.append(mask))
+        assert len(masks) == 10 and len(steps) == per_batch * 10
+        if policy != "moddrop":
+            return
+        # a branch outside the batch's mask steps from zeros; runs are in
+        # group order: fv, cnn, lbp, trunk
+        for i, (mask,) in enumerate(masks):
+            for kind, g in zip(["fv", "cnn", "lbp"], steps[4 * i:4 * i + 3]):
+                if kind == mask:
+                    assert g.any()
+                else:
+                    assert g.tobytes() == np.zeros(g.size).tobytes()
+
+
+class TestPackedViewBits:
+    """A net whose arrays view packed buffers computes the bits of one
+    whose layers own their arrays, forward and backward, down to one row,
+    also where odd widths leave the views at any 8-byte offset."""
+
+    @pytest.mark.parametrize("widths", [(64, 32, 32, 32), (9, 5, 7, 3)])
+    @pytest.mark.parametrize("rows", [1, 7, 32])
+    def test_same_bits_as_owned_arrays(self, widths, rows):
+        dataset = make_dataset(n_train=160)
+        owned = build_net(dataset.kind_dims(),
+                          profile_for(dataset, Profile(*widths, 1)), 3)
+        packed = owned.copy()
+        for group in packed.group_ids():
+            training._pack(packed.group_layers(group))
+            assert all(a.base is not None for a in group_arrays(packed, group))
+        _, xs, y = dataset.arrays("train")
+        batch, labels = {k: v[:rows] for k, v in xs.items()}, y[:rows]
+        mask = owned.kind_names()
+        for a, b in zip(net_forward(batch, mask, owned), net_forward(batch, mask, packed)):
+            assert a.tobytes() == b.tobytes()
+        want, want_loss = net_backward(batch, mask, owned, labels)
+        got, loss = net_backward(batch, mask, packed, labels)
+        assert loss == want_loss
+        for group in owned.group_ids():
+            for g, w, layer in zip(got[group], want[group], packed.group_layers(group)):
+                assert g is layer.grad  # written into the packed gradient views
+                assert g.d_weights.tobytes() == w.d_weights.tobytes()
+                assert g.d_bias.tobytes() == w.d_bias.tobytes()
+
+
+# sha256 over every layer's float64 weight and bias bytes, in group order,
+# of nets trained with momentum and weight decay: an `allfeat` net, whose
+# groups all learn every batch, and a `multistage:fv` net, whose later
+# stages pack and step one branch with the trunk frozen. The values were
+# taken on OpenBLAS's SkylakeX kernel while each array was still stepped
+# on its own; other kernels' products give other bits.
+GOLDEN_FLOAT64_MOMENTUM_WD = {
+    "allfeat": "5d4530b4a32e8aa4b595a374022e14c078572436081d5dfc15e8156b0c063c87",
+    "multistage:fv": "098cb1ba1242a71e6df11761e2e5ad440f0828a43ad23d62a361dcf60627cbac",
+}
+
+
+class TestGoldenFloat64Regimes:
+    @pytest.mark.parametrize("regime", list(GOLDEN_FLOAT64_MOMENTUM_WD))
+    def test_parameters_pinned(self, regime):
+        dataset = make_dataset(n_train=240, n_val=80, n_test=40)
+        cfg = TrainConfig(lr=0.05, batch_size=32, epochs=3, seed=6,
+                          momentum=0.9, weight_decay=1e-3)
+        net = train_regime(regime, dataset, cfg, DESK).net
+        h = hashlib.sha256()
+        for group in net.group_ids():
+            for a in group_arrays(net, group):
+                h.update(a.tobytes())
+        lib = blas.openblas()
+        assert h.hexdigest() == GOLDEN_FLOAT64_MOMENTUM_WD[regime], (
+            f"pinned on SkylakeX, run on {lib.core_name() if lib else 'no OpenBLAS'}")
