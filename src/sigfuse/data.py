@@ -8,6 +8,7 @@ experiments.
 
 from __future__ import annotations
 
+import functools
 import io
 import struct
 from collections.abc import MutableMapping
@@ -33,8 +34,8 @@ SPLIT_NAMES = ("train", "val", "test")
 
 
 class DataFormatError(ValueError):
-    """Raised on malformed attribute, bank or image files, and on a split
-    with no examples."""
+    """Raised on malformed attribute, bank or image files, on pixels an
+    image cannot hold, and on a split with no examples."""
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +451,7 @@ def _uniform_lbp_table() -> np.ndarray:
     Bins 0..55: the 56 uniform non-constant patterns; bin 56: the two
     constant patterns; bin 57: everything non-uniform.
     """
-    table = np.full(256, 57, dtype=np.int32)
+    table = np.full(256, 57, dtype=np.intp)
     nxt = 0
     for code in range(256):
         bits = [(code >> i) & 1 for i in range(8)]
@@ -482,7 +483,9 @@ def lbp_extract(img: np.ndarray, cell_size: int) -> np.ndarray:
     interpolation); border pixels without a full neighborhood are skipped.
     Cells tile from the top-left, trailing partial cells are dropped, and
     each cell's 58-bin histogram is L1-normalized before concatenation
-    (row-major over cells).
+    (row-major over cells). uint8 pixels compare as they are; others are
+    truncated to int32 (a float toward zero), and a pixel int32 cannot
+    hold, NaN included, is a DataFormatError raised before any code.
     """
     img = np.asarray(img)
     if img.ndim == 3:
@@ -494,41 +497,65 @@ def lbp_extract(img: np.ndarray, cell_size: int) -> np.ndarray:
         raise ValueError(f"cell size must be positive, got {cell_size}")
     if h < cell_size or w < cell_size:
         raise ValueError(f"image {h}x{w} smaller than one {cell_size}-pixel cell")
+    if img.dtype != np.uint8:
+        if img.dtype.kind not in "biuf":
+            raise DataFormatError(f"pixels must be real numbers, got dtype {img.dtype}")
+        lo, hi = img.min().item(), img.max().item()
+        if not (lo > -2**31 - 1 and hi < 2**31):  # False for NaN as well
+            raise DataFormatError(f"pixels must be finite and fit int32, got values in [{lo}, {hi}]")
+        img = img.astype(np.int32)
+    flat = img.reshape(-1)
 
-    # uint8 pixels compare as they are; other dtypes go through int32, and
-    # additive shifts that avoid clipping cannot change these comparisons
-    px = img if img.dtype == np.uint8 else img.astype(np.int32)
-    center = px[1:-1, 1:-1]
-    codes = np.zeros(center.shape, dtype=np.uint8)
+    # one flat run holds centres (1, 1) .. (h-2, w-2), each neighbor at a
+    # fixed offset from it, plus the 2 wrap-around positions between rows
+    offsets = _lbp_offsets(h, w, cell_size)
+    n = offsets.size
+    center = flat[w + 1:w + 1 + n]
+    codes = np.zeros(n, dtype=np.uint8)
     plane = np.empty_like(codes)
     for bit, (dy, dx) in enumerate(_NEIGHBORS):
-        np.greater_equal(px[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx], center, out=plane)
-        plane <<= bit
+        start = w + 1 + dy * w + dx
+        np.greater_equal(flat[start:start + n], center, out=plane.view(bool))
+        np.multiply(plane, np.uint8(1 << bit), out=plane)
         codes |= plane
-    bins = np.take(_LBP_TABLE, codes)
+    keys = np.take(_LBP_TABLE, codes)
+    keys += offsets
 
-    # bins[i, j] describes original pixel (i + 1, j + 1); its histogram key
-    # is its bin plus its cell's row and column offsets, and a pixel of a
-    # dropped partial cell gets an offset that puts its key past the end
-    rows, cols = h // cell_size, w // cell_size
-    size = rows * cols * LBP_BINS
-    cy = np.arange(1, h - 1) // cell_size
-    cx = np.arange(1, w - 1) // cell_size
-    row_key = np.where(cy < rows, cy * (cols * LBP_BINS), size)
-    col_key = np.where(cx < cols, cx * LBP_BINS, size)
-    keys = bins + row_key[:, None] + col_key
-    desc = np.bincount(keys.reshape(-1), minlength=size)[:size].astype(np.float64)
-    desc = desc.reshape(rows * cols, LBP_BINS)
+    size = lbp_dim(h, w, cell_size)
+    desc = np.bincount(keys, minlength=size)[:size].astype(np.float64)
+    desc = desc.reshape(-1, LBP_BINS)
     sums = desc.sum(axis=1, keepdims=True)
     np.divide(desc, sums, out=desc, where=sums > 0)
     return desc.reshape(-1)
 
 
+@functools.lru_cache(maxsize=1)
+def _lbp_offsets(h: int, w: int, cell_size: int) -> np.ndarray:
+    """Histogram key offset of each position of lbp_extract's flat run: its
+    cell's first bin, or the descriptor's size (a key bincount's result
+    drops) for a wrap-around position or a pixel of a dropped partial
+    cell. Cached for the last shape, since a bank's images share one."""
+    rows, cols = h // cell_size, w // cell_size
+    size = lbp_dim(h, w, cell_size)
+    cy = np.arange(h) // cell_size
+    cx = np.arange(w) // cell_size
+    row_key = np.where(cy < rows, cy * (cols * LBP_BINS), size)
+    col_key = np.where(cx < cols, cx * LBP_BINS, size)
+    col_key[[0, -1]] = size
+    offsets = np.minimum(row_key[:, None] + col_key, size).reshape(-1)
+    offsets = offsets[w + 1:w + 1 + max((h - 2) * w - 2, 0)].astype(np.intp)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def rgb_to_gray(img: np.ndarray) -> np.ndarray:
-    """Integer luma: round(0.299 R + 0.587 G + 0.114 B)."""
+    """Integer luma: round(0.299 R + 0.587 G + 0.114 B). A luma outside
+    0..255, or NaN, is a DataFormatError: uint8 would wrap it."""
     img = np.asarray(img, dtype=np.float64)
-    gray = 0.299 * img[..., 0] + 0.587 * img[..., 1] + 0.114 * img[..., 2]
-    return np.rint(gray).astype(np.uint8)
+    gray = np.rint(0.299 * img[..., 0] + 0.587 * img[..., 1] + 0.114 * img[..., 2])
+    if gray.size and not (gray.min() >= 0 and gray.max() <= 255):  # False for NaN as well
+        raise DataFormatError(f"RGB luma must be in 0..255, got values in [{gray.min()}, {gray.max()}]")
+    return gray.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

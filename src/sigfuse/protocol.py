@@ -205,7 +205,9 @@ def _pin_blas_to_one_thread() -> str:
     return a line naming the library and its thread count, or why it was
     left alone.
 
-    Bits are reproducible for one seed, BLAS kernel and thread count.
+    Bits are reproducible for one seed, BLAS kernel, numpy SIMD dispatch
+    level (it picks the float64 `exp` and `log` code of `sigmoid` and the
+    BCE loss) and thread count; LBP descriptors depend on none of these.
     OpenBLAS may split a product's reduction over threads, so other
     thread counts can give other bits; the server's 1-row trunk products
     are checked to give the same replies at 1 thread as at the default.

@@ -180,6 +180,21 @@ class TestBlasReport:
         assert header == [f"blas: {lib.name} core={lib.core_name()} threads={lib.threads()}"]
 
 
+class TestDispatchReport:
+    def test_report_header_names_numpy_and_its_dispatch_targets(self, request):
+        """The float64 pins also hold for one numpy SIMD dispatch level, so
+        the header names the targets numpy enabled, none that the
+        environment disabled."""
+        lines = request.config.hook.pytest_report_header(config=request.config,
+                                                         start_path=request.config.rootpath)
+        header = [line for line in lines if isinstance(line, str) and line.startswith("numpy: ")]
+        assert len(header) == 1
+        version, targets = header[0].removeprefix("numpy: ").split(" dispatch=")
+        assert version == np.__version__
+        disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+        assert targets and not set(targets.split(",")) & set(disabled)
+
+
 class TestFiniteScreenOnBlas:
     """A layer at the constant screens its weights with a BLAS product."""
 

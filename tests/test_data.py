@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,6 +312,91 @@ class TestLbpExtract:
                         img = self.image(rng, case, h, w)
                         assert (lbp_extract(img, c).tobytes()
                                 == self.add_at_reference(img, c).tobytes())
+
+
+class TestLbpGolden:
+    """lbp_extract's bytes, pinned: seeded 218x178 uint8 images at cell 20
+    (the paper-scale shape), a float image whose partial cells are dropped,
+    and an RGB image. Taken with numpy 2.4.6 on x86-64 (AVX-512 dispatch);
+    the codes are integer compares and the histogram integer counts, so
+    neither the BLAS kernel nor numpy's SIMD dispatch level enters these
+    bytes (CI also runs this class with AVX-512 dispatch disabled)."""
+
+    DIGEST = "154db044b4972fd583fc55a833d9406a7669427e13aa7803652abed8b6d7a701"
+
+    def test_descriptor_bytes(self):
+        rng = make_rng(218, 178)
+        digest = hashlib.sha256()
+        for _ in range(16):
+            img = rng.integers(0, 256, size=(218, 178)).astype(np.uint8)
+            digest.update(lbp_extract(img, 20).tobytes())
+        digest.update(lbp_extract(rng.normal(size=(45, 67)) * 3, 11).tobytes())
+        digest.update(lbp_extract(rng.integers(0, 256, size=(30, 31, 3)).astype(np.uint8), 7).tobytes())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_views_match_their_copies(self):
+        """The kernel reads the image as one flat run; a strided, transposed
+        or Fortran-ordered view gives the bytes of its C-ordered copy."""
+        img = make_rng(5).integers(0, 256, size=(60, 50)).astype(np.uint8)
+        for view in (img[::2, ::3], img.T, np.asfortranarray(img), np.asfortranarray(img * 1.5)):
+            assert lbp_extract(view, 7).tobytes() == lbp_extract(view.copy(order="C"), 7).tobytes()
+
+
+class TestLossyPixels:
+    """A pixel that uint8 luma or int32 compares cannot hold is refused
+    with a DataFormatError (a ValueError), with no numpy warning, instead
+    of wrapping into a normal-looking descriptor."""
+
+    @staticmethod
+    def refused(img, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=match):
+                lbp_extract(img, 5)
+
+    def test_luma_above_255(self):
+        img = np.full((10, 10, 3), 300)
+        with pytest.raises(DataFormatError, match=r"luma must be in 0\.\.255"):
+            rgb_to_gray(img)
+        self.refused(img, "luma")
+
+    def test_negative_or_nan_luma(self):
+        self.refused(np.full((10, 10, 3), -1.0), "luma")
+        img = np.zeros((10, 10, 3))
+        img[3, 4, 1] = np.nan
+        self.refused(img, "luma")
+
+    @pytest.mark.parametrize("value", [2**32 + 4, 2**31, -2**31 - 1])
+    def test_gray_int64_beyond_int32(self, value):
+        img = np.zeros((10, 10), dtype=np.int64)
+        img[4, 4] = value
+        self.refused(img, "fit int32")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0**31])
+    def test_gray_float_not_finite_or_beyond_int32(self, value):
+        img = np.zeros((10, 10))
+        img[4, 4] = value
+        self.refused(img, "finite and fit int32")
+
+    def test_other_dtypes(self):
+        self.refused(np.zeros((10, 10), dtype=np.complex128), "real numbers")
+
+    def test_int32_range_and_truncation_kept(self):
+        """The extremes int32 holds, and floats that truncate into it, are
+        compared as before: like the same image cast to int32."""
+        rng = make_rng(9)
+        img = rng.integers(-2**31, 2**31, size=(20, 20))
+        img[0, :2] = -2**31, 2**31 - 1
+        np.testing.assert_array_equal(lbp_extract(img, 5), lbp_extract(img.astype(np.int32), 5))
+        floats = rng.normal(size=(20, 20)) * 3
+        floats[0, :2] = -2.0**31 - 0.5, 2.0**31 - 0.5
+        np.testing.assert_array_equal(lbp_extract(floats, 5),
+                                      lbp_extract(floats.astype(np.int32), 5))
+
+    def test_rgb_at_255_kept(self):
+        img = np.full((10, 10, 3), 255, dtype=np.uint8)
+        assert rgb_to_gray(img).max() == 255
+        assert lbp_extract(img, 5).shape == (4 * LBP_BINS,)
 
 
 class TestPgm:
