@@ -8,7 +8,9 @@ Every file the CLI writes goes through `binfmt.atomic_file`, and every
 file named beside another (a log, a manifest, a report) is that path's
 name plus a suffix.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime error.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime error. A
+trained net beyond float32's range is a runtime error, and `train` then
+writes nothing.
 """
 
 from __future__ import annotations

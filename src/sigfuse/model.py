@@ -10,6 +10,7 @@ groups that can be frozen individually.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -275,9 +276,9 @@ def net_backward(features: dict, mask, net: HybridNet,
     Only what some gradient consumes is computed: a frozen trunk layer
     skips its weight matmul and bias sum but still passes the gradient
     down, the signature gradient is skipped when no active branch learns,
-    and a branch's first layer skips its input gradient. Groups with real
-    gradients get no zero-filled arrays; the zero gradients of the other
-    groups come from `np.zeros`, whose pages stay unwritten.
+    and a branch's first layer skips its input gradient. The zero
+    gradients come from `LayerGrad.zeros_like`: inside a stage, a learning
+    branch outside the mask gets its own buffers, zero-filled.
     """
     active = normalize_mask(mask, net)
     labels = np.asarray(labels, dtype=np.float64)
@@ -347,6 +348,8 @@ class ModelFormatError(ValueError):
 # f4 <-> f8 conversion goes through one buffer of this many floats per
 # model, so no layer-sized temporary is made in either direction
 _CHUNK = 1 << 16
+# what errors call the trunk's layers, in order
+_TRUNK_LAYERS = ("layer 3", "layer 4", "out layer")
 
 
 def _write_matrix(buf, m: np.ndarray, chunk: np.ndarray):
@@ -381,9 +384,21 @@ def _read_matrix(rd: Reader, chunk: np.ndarray,
     return (rows, cols), m
 
 
-def _write_layer(buf, layer: DenseLayer, chunk: np.ndarray):
-    _write_matrix(buf, layer.weights, chunk)
-    _write_matrix(buf, layer.bias, chunk)
+def _write_groups(buf, net: HybridNet, groups):
+    """Each layer of `groups`, in order, as its weight and bias matrices.
+    A value beyond float32's range is refused, naming its layer as the
+    reader does, rather than written as inf."""
+    chunk = np.empty(_CHUNK, dtype="<f4")
+    with np.errstate(over="raise"):
+        for group in groups:
+            for i, layer in enumerate(net.group_layers(group)):
+                try:
+                    _write_matrix(buf, layer.weights, chunk)
+                    _write_matrix(buf, layer.bias, chunk)
+                except FloatingPointError:
+                    name = (f"trunk {_TRUNK_LAYERS[i]}" if group == "trunk"
+                            else f"kind {group!r} layer {i + 1}")
+                    raise ValueError(f"{name} holds a value beyond float32's range") from None
 
 
 def _read_layer(rd: Reader, chunk: np.ndarray, name: str, in_dim: int | None,
@@ -413,10 +428,7 @@ def write_model(buf, net: HybridNet):
     for k in net.kinds:
         write_str(buf, k.name)
         buf.write(struct.pack("<I", k.input_dim))
-    chunk = np.empty(_CHUNK, dtype="<f4")
-    for group in net.group_ids():
-        for layer in net.group_layers(group):
-            _write_layer(buf, layer, chunk)
+    _write_groups(buf, net, net.group_ids())
 
 
 def _read_model(stream, keep_branches: bool = True) -> HybridNet:
@@ -447,7 +459,7 @@ def _read_model(stream, keep_branches: bool = True) -> HybridNet:
         sig_dim = width
         branches.append(BranchParams(l1, l2))
     trunk = []
-    for name in ("layer 3", "layer 4", "out layer"):
+    for name in _TRUNK_LAYERS:
         layer, sig_dim = _read_layer(rd, chunk, f"trunk {name}", sig_dim)
         trunk.append(layer)
     if rd.remaining():
@@ -466,9 +478,7 @@ def model_to_bytes(net: HybridNet) -> bytes:
 def group_bytes(net: HybridNet, group: str) -> bytes:
     """Serialized float32 bytes of one parameter group, for byte comparison."""
     buf = io.BytesIO()
-    chunk = np.empty(_CHUNK, dtype="<f4")
-    for layer in net.group_layers(group):
-        _write_layer(buf, layer, chunk)
+    _write_groups(buf, net, [group])
     return buf.getvalue()
 
 
@@ -477,9 +487,14 @@ def model_from_bytes(data: bytes) -> HybridNet:
 
 
 def save_model(net: HybridNet, path):
-    """Write `net` as HNET, streaming each matrix straight into the file."""
+    """Write `net` as HNET, streaming each matrix straight into the file.
+    A net the writer refuses leaves no file."""
     with open(path, "wb") as fh:
-        write_model(fh, net)
+        try:
+            write_model(fh, net)
+        except ValueError:
+            os.unlink(path)
+            raise
 
 
 def _load(path, keep_branches: bool) -> HybridNet:

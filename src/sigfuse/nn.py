@@ -35,7 +35,8 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
 @dataclass
 class DenseLayer:
     """Affine layer y = x W + b with weights (in_dim, out_dim), bias (out_dim,).
-    `grad`, if set, is where `dense_backward` writes the layer's gradient."""
+    `grad`, if set, is where the layer's gradient lives, computed by
+    `dense_backward` or zero from `LayerGrad.zeros_like`."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -89,9 +90,13 @@ class LayerGrad:
 
     @classmethod
     def zeros_like(cls, layer: DenseLayer) -> "LayerGrad":
-        # np.zeros, unlike np.zeros_like, maps fresh zero pages without
-        # writing them, so a gradient nobody reads costs no memory traffic
-        return cls(np.zeros(layer.weights.shape), np.zeros(layer.bias.shape))
+        """`layer.grad`, filled with +0.0, when a stage has given the layer
+        one; else fresh `np.zeros`, which maps zero pages without writing them."""
+        if layer.grad is None:
+            return cls(np.zeros(layer.weights.shape), np.zeros(layer.bias.shape))
+        layer.grad.d_weights.fill(0.0)
+        layer.grad.d_bias.fill(0.0)
+        return layer.grad
 
     @classmethod
     def empty_like(cls, layer: DenseLayer) -> "LayerGrad":

@@ -118,8 +118,15 @@ def _read_frame(sock: socket.socket) -> bytes:
 
 
 def encode_request(signature: np.ndarray, mask_bits: int) -> bytes:
+    """A request frame. NaN and inf go out as they are; a finite value
+    beyond float32's range is refused rather than sent as inf."""
     if not 0 < mask_bits <= 0xFF:
         raise ValueError(f"mask byte must be in 1..255, got {mask_bits}")
+    try:
+        with np.errstate(over="raise"):
+            signature = np.asarray(signature, dtype="<f4")
+    except FloatingPointError:
+        raise ValueError("signature holds a value beyond float32's range") from None
     return _encode(REQUEST_MAGIC, mask_bits, signature)
 
 

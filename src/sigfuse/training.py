@@ -161,8 +161,8 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     is not the last, its checkpoint is moved back into `net`. Each
     learning layer holds one gradient buffer for the stage, and `_pack`
     lays each learning group out in runs that one SGD step each updates.
-    A group outside a batch's mask (moddrop) steps from zeros, as
-    `net_backward` gives it.
+    A group outside a batch's mask (moddrop) steps from the zeros that
+    `net_backward` writes into its buffers.
     """
     if not any(net.trainable.values()):
         raise ValueError("no trainable group in this stage")
@@ -176,8 +176,7 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     velocities = {}
     best, best_map, best_epoch = None, -np.inf, -1
     try:
-        packed = [(g, net.group_layers(g)[0], _pack(net.group_layers(g))) for g in learning]
-        runs = [run for _, _, group_runs in packed for run in group_runs]
+        runs = [run for g in learning for run in _pack(net.group_layers(g))]
         for epoch in range(1, epochs + 1):
             perm = shuffle_rng.permutation(n)
             total_loss = 0.0
@@ -188,11 +187,7 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
                 else:
                     mask = train_kinds
                 batch = {k: xs[k][idx] for k in mask}
-                grads, loss = net_backward(batch, mask, net, y[idx])
-                for g, first, group_runs in packed:
-                    if grads[g][0] is not first.grad:  # outside the mask: zeros
-                        for _, grad in group_runs:
-                            grad.fill(0.0)
+                _, loss = net_backward(batch, mask, net, y[idx])
                 _apply_updates((), (), cfg, velocities, runs)
                 total_loss += loss * len(idx)
                 if on_batch is not None:

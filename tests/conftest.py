@@ -1,9 +1,15 @@
 """Shared pytest hooks: the report header names the BLAS library numpy
 loaded, the kernel it picked and its thread count, and numpy's version
 and the SIMD dispatch targets it enabled, since the golden float pins
-hold for one kernel, dispatch level and thread count."""
+hold for one kernel, dispatch level and thread count. Also the
+`mute_server` fixture, a peer that reads a request and never replies."""
+
+import socket
+import struct
+import threading
 
 import numpy as np
+import pytest
 
 from sigfuse import blas
 
@@ -34,3 +40,29 @@ def pytest_report_header(config):
         return f"blas: no OpenBLAS in {blas.LIBS}"
     threads = lib.threads() if lib.threads is not None else "?"
     return f"blas: {lib.name} core={lib.core_name()} threads={threads}"
+
+
+@pytest.fixture
+def mute_server():
+    """(host, port) of a listener that accepts one connection, reads one
+    whole request frame from it and closes it without a reply."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def read(conn, n):
+        data = b""
+        while len(data) < n and (chunk := conn.recv(n - len(data))):
+            data += chunk
+        return data
+
+    def accept_one():
+        conn, _ = listener.accept()
+        with conn:
+            header = read(conn, 8)
+            if len(header) == 8:
+                read(conn, 4 * struct.unpack_from("<H", header, 6)[0])
+
+    thread = threading.Thread(target=accept_one, daemon=True)
+    thread.start()
+    yield listener.getsockname()[:2]
+    listener.close()
+    thread.join(timeout=5)

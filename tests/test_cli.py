@@ -1033,3 +1033,53 @@ class TestKindTableExitCodes:
                     "--kind", "", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "usage error: --kind must be non-empty\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["imgs"]
+
+
+class TestRefusalExitCodes:
+    """The exit class of three refusals the CLI reaches: a bad synthetic
+    spec is a usage error, an attribute file of one line a data error and
+    a server that closes without replying a runtime error."""
+
+    def test_synth_latent_dim_zero_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run(["synth", "--out-dir", str(out), "--latent-dim", "0"]) == 2
+        assert "latent dim and attribute count must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_line_attribute_file_is_a_data_error(self, synth_dir, tmp_path, capsys):
+        attrs = tmp_path / "attrs.txt"
+        attrs.write_text("120\n")
+        args = train_args(synth_dir, tmp_path / "m.hnet")
+        args[args.index("--attrs") + 1] = str(attrs)
+        assert run(args) == 3
+        assert "needs a count line and a name line" in capsys.readouterr().err
+        assert not (tmp_path / "m.hnet").exists()
+
+    def test_query_against_a_server_that_closes_is_a_runtime_error(
+            self, synth_dir, tmp_path, mute_server, capsys):
+        model = tmp_path / "m.hnet"
+        save_model(build_net([("fv", 10)], PROFILES["desk"], 0), model)
+        host, port = mute_server
+        assert run(["query", "--model", str(model), "--endpoint", f"{host}:{port}",
+                    "--mask", "fv", "--bank", f"fv={synth_dir / 'fv.fbnk'}",
+                    "--id", "synth_000000"]) == 4
+        assert "server closed without responding" in capsys.readouterr().err
+
+
+class TestDivergedTrain:
+    """A net trained past float32's range (finite in float64) is refused
+    by the HNET writer: `train` exits 4, says why, and writes nothing."""
+
+    def test_exit_4_and_no_artifact(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out" / "diverged.hnet"
+        args = ["train", "--regime", "allfeat", "--attrs", str(synth_dir / "attrs.txt"),
+                "--split-file", str(synth_dir / "partition.txt"),
+                "--bank", f"fv={synth_dir / 'fv.fbnk'}",
+                "--bank", f"cnn={synth_dir / 'cnn.fbnk'}",
+                "--epochs", "1", "--seed", "1", "--lr", "1e20", "--out", str(out)]
+        with np.errstate(all="ignore"):  # the training itself overflows
+            code = run(args)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "float32" in err and "layer" in err
+        assert not out.parent.exists() or list(out.parent.iterdir()) == []

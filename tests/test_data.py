@@ -612,3 +612,42 @@ class TestPgmHeaderErrors:
         with pytest.raises(DataFormatError) as exc:
             read_pgm(path)
         assert str(exc.value) == named
+
+
+class TestInputRefusals:
+    """Each bad argument to the table, split, LBP and synthetic-data
+    helpers is refused with a message that names it."""
+
+    def test_unknown_split_name(self):
+        table = AttributeTable(["a"], {"x": np.ones(1, dtype=np.uint8)}, {"x": "train"})
+        with pytest.raises(ValueError, match=r"^unknown split 'dev'$"):
+            table.ids_for("dev")
+
+    @pytest.mark.parametrize("text", ["", "3\n", "\n\n3\n\n"])
+    def test_attribute_file_needs_two_lines(self, text):
+        with pytest.raises(DataFormatError, match=r"^attribute file needs a count "
+                                                  r"line and a name line$"):
+            parse_attr_file(text)
+
+    def test_split_that_comes_out_empty(self):
+        table = AttributeTable(["a"], {f"x{i}": np.ones(1, dtype=np.uint8)
+                                       for i in range(3)})
+        with pytest.raises(ValueError, match=r"^split 'val' came out empty$"):
+            split_dataset(table, (0.9, 0.05, 0.05), seed=0)
+
+    @pytest.mark.parametrize("shape", [(12,), (2, 6, 6, 1)])
+    def test_lbp_image_not_2d(self, shape):
+        with pytest.raises(ValueError, match=r"^expected a 2-D grayscale image, got "
+                                             rf"shape \({', '.join(map(str, shape))},?\)$"):
+            lbp_extract(np.zeros(shape), 3)
+
+    @pytest.mark.parametrize("cell", [0, -2])
+    def test_lbp_cell_size_below_one(self, cell):
+        with pytest.raises(ValueError, match=rf"^cell size must be positive, got {cell}$"):
+            lbp_extract(np.zeros((6, 6)), cell)
+
+    @pytest.mark.parametrize("field", ["latent_dim", "n_attributes"])
+    def test_synthetic_latent_dim_and_attributes_positive(self, field):
+        with pytest.raises(ValueError, match=r"^latent dim and attribute count "
+                                             r"must be positive$"):
+            small_spec(**{field: 0})

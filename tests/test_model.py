@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -440,3 +442,71 @@ class TestKindTable:
         path = tmp_path / "m.hnet"
         save_model(net_named(names), path)
         assert load_model(path).kind_names() == names
+
+
+class TestNetShapeRefusals:
+    """A net whose branches do not match its kinds or each other, an
+    unknown kind name and a grafted branch of another signature width
+    are refused by name."""
+
+    def test_one_branch_per_kind(self):
+        net = desk_net()
+        with pytest.raises(ShapeError, match=r"^one branch required per feature kind$"):
+            HybridNet(net.kinds, net.branches[:2], net.trunk)
+
+    def test_branch_signature_widths_agree(self):
+        net = desk_net()
+        wide = build_net([("cnn", 5)], dataclasses.replace(DESK, signature_dim=33), 0)
+        with pytest.raises(ShapeError, match=r"^branch signature dims differ: \[32, 33\]$"):
+            HybridNet(net.kinds[:2], [net.branches[0], wide.branches[0]], net.trunk)
+
+    def test_unknown_kind_name(self):
+        with pytest.raises(KeyError, match="unknown feature kind 'hog'"):
+            desk_net().kind_by_name("hog")
+
+    def test_add_branch_signature_width(self):
+        net = desk_net()
+        with pytest.raises(ShapeError, match=r"^profile signature dim 16 does not match "
+                                             r"net signature dim 32$"):
+            add_branch(net, "hog", 7, dataclasses.replace(DESK, signature_dim=16), 0)
+        assert net.kind_names() == ["fv", "cnn", "lbp"]
+
+
+class TestWriterFloat32Range:
+    """The HNET writer refuses a value that float32 cannot hold, naming
+    its layer as the reader does, rather than write it as inf; a refused
+    `save_model` leaves no file. float32's largest value is still written."""
+
+    @pytest.mark.parametrize("group, index, name", [
+        ("fv", 0, "kind 'fv' layer 1"), ("lbp", 1, "kind 'lbp' layer 2"),
+        ("trunk", 0, "trunk layer 3"), ("trunk", 2, "trunk out layer")])
+    def test_value_beyond_float32_names_its_layer(self, group, index, name):
+        net = desk_net()
+        net.group_layers(group)[index].weights[0, 0] = -1e39
+        with pytest.raises(ValueError, match=rf"^{name} holds a value beyond "
+                                             r"float32's range$"):
+            model_to_bytes(net)
+        with pytest.raises(ValueError, match=name):
+            group_bytes(net, group)
+
+    def test_bias_beyond_float32(self):
+        net = desk_net()
+        net.trunk.layer4.bias[3] = 3.5e38
+        with pytest.raises(ValueError, match="^trunk layer 4 holds"):
+            model_to_bytes(net)
+
+    def test_refused_save_leaves_no_file(self, tmp_path):
+        net = desk_net()
+        net.trunk.out.weights[-1, -1] = 1e300
+        path = tmp_path / "m.hnet"
+        with pytest.raises(ValueError, match="float32"):
+            save_model(net, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float32_max_is_written(self):
+        net = desk_net()
+        top = float(np.finfo(np.float32).max)
+        net.branches[0].layer1.weights[0, 0] = top
+        net.branches[0].layer1.weights[0, 1] = -top
+        loaded = model_from_bytes(model_to_bytes(net))
+        assert loaded.branches[0].layer1.weights[0, :2].tolist() == [top, -top]

@@ -412,3 +412,29 @@ class TestCheckFiniteScreen:
             layer = DenseLayer(weights, bias)
             layer.check_finite()
             layer.copy()
+
+
+class TestShapeRefusals:
+    """A layer of the wrong rank or width, and a backward pass whose input
+    or upstream width does not fit the layer, are refused by name."""
+
+    def test_weights_not_2d_or_bias_not_1d(self):
+        with pytest.raises(ShapeError, match=r"^weights must be 2-D and bias 1-D, "
+                                             r"got 1-D and 2-D$"):
+            DenseLayer(np.zeros(3), np.zeros((1, 3)))
+
+    def test_bias_length_against_weight_columns(self):
+        with pytest.raises(ShapeError, match=r"^bias length 3 does not match "
+                                             r"weight columns 2$"):
+            DenseLayer(np.zeros((4, 2)), np.zeros(3))
+
+    def test_backward_input_width(self):
+        layer = DenseLayer(np.zeros((4, 2)), np.zeros(2))
+        with pytest.raises(ShapeError, match=r"^input has 5 features, layer expects 4$"):
+            dense_backward(np.zeros((3, 5)), layer, np.zeros((3, 2)))
+
+    def test_backward_upstream_width(self):
+        layer = DenseLayer(np.zeros((4, 2)), np.zeros(2))
+        with pytest.raises(ShapeError, match=r"^upstream has 3 features, "
+                                             r"layer outputs 2$"):
+            dense_backward(np.zeros((3, 4)), layer, np.zeros((3, 3)))

@@ -383,3 +383,45 @@ class TestServeProcess:
             _, err = proc.communicate(timeout=10)
         assert replies == expected
         assert re.search(r"^blas: \S*openblas\S* threads=1$", err, re.M), err
+
+
+class TestShortFramesAndMuteServers:
+    """A frame shorter than its header, and a server that reads a request
+    and closes without replying, are refused by name."""
+
+    @pytest.mark.parametrize("size", [0, 3, 7])
+    def test_frame_shorter_than_header(self, size):
+        frame = encode_request(np.ones(2), 1)[:size]
+        with pytest.raises(FrameError, match=rf"^frame shorter than header "
+                                             rf"\({size} bytes\)$") as exc:
+            decode_request(frame)
+        assert exc.value.code == "truncated"
+
+    def test_server_that_closes_without_replying(self, mute_server):
+        net = desk_net()
+        with pytest.raises(FrameError, match=r"^server closed without responding$") as exc:
+            client_query({"fv": np.ones(6)}, ["fv"], net, mute_server)
+        assert exc.value.code == "truncated"
+
+
+class TestRequestFloat32Range:
+    """The request encoder refuses a finite value beyond float32's range
+    rather than send it as inf; NaN and ±inf still go out as they are."""
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38, 1e300])
+    def test_value_beyond_float32_refused(self, value):
+        signature = np.ones(4)
+        signature[2] = value
+        with pytest.raises(ValueError, match=r"^signature holds a value beyond "
+                                             r"float32's range$"):
+            encode_request(signature, 1)
+
+    def test_non_finite_values_still_encode(self):
+        values = np.array([np.nan, np.inf, -np.inf, 1.0])
+        frame = encode_request(values, 3)
+        assert frame[8:] == values.astype("<f4").tobytes()
+
+    def test_float32_max_is_sent(self):
+        top = float(np.finfo(np.float32).max)
+        req = decode_request(encode_request([top, -top], 1))
+        assert req.values.tolist() == [top, -top]

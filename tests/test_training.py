@@ -872,3 +872,68 @@ class TestGoldenFloat64Regimes:
         lib = blas.openblas()
         assert h.hexdigest() == GOLDEN_FLOAT64_MOMENTUM_WD[regime], (
             f"pinned on SkylakeX, run on {lib.core_name() if lib else 'no OpenBLAS'}")
+
+
+def zero_bits(grad) -> bool:
+    """Every byte of both arrays of `grad` is that of +0.0."""
+    return all(a.tobytes() == bytes(a.nbytes) for a in (grad.d_weights, grad.d_bias))
+
+
+class TestZeroGradientsInTheirBuffers:
+    """`LayerGrad.zeros_like` is where every zero gradient comes from:
+    inside a stage, a learning layer's zero is its own buffer, filled with
+    +0.0; a frozen layer holds no buffer and gets fresh zeros."""
+
+    def test_moddrop_branches_outside_the_mask_get_their_own_zeroed_buffers(
+            self, monkeypatch):
+        dataset = make_dataset(n_train=160)
+        cfg = dataclasses.replace(QUICK, epochs=2)
+        net = build_net(dataset.kind_dims(), profile_for(dataset, DESK), cfg.seed)
+        real, held_values, outside = training.net_backward, [], []
+
+        def recording(batch, mask, net, labels):
+            dropped = [k for k in net.kind_names() if k not in mask]
+            held_values.extend(not zero_bits(layer.grad) for k in dropped
+                               for layer in net.group_layers(k))
+            grads, loss = real(batch, mask, net, labels)
+            outside.extend(g is layer.grad and zero_bits(g) for k in dropped
+                           for g, layer in zip(grads[k], net.group_layers(k)))
+            return grads, loss
+
+        monkeypatch.setattr(training, "net_backward", recording)
+        run_stage(net, dataset, cfg, stage="s", mask_policy="moddrop",
+                  val_mask=net.kind_names(), shuffle_key=0, epochs=cfg.epochs, logs=[])
+        # 10 batches, each dropping 2 of 3 branches of 2 layers
+        assert outside == [True] * 40
+        # the buffers held an earlier batch's real gradients when zeroed
+        assert sum(held_values) > 10
+
+    def test_frozen_layers_get_fresh_zeros_and_hold_no_buffer(self, monkeypatch):
+        dataset = make_dataset(n_train=160)
+        cfg = dataclasses.replace(QUICK, epochs=1)
+        real, frozen = training.net_backward, []
+
+        def recording(batch, mask, net, labels):
+            grads, loss = real(batch, mask, net, labels)
+            frozen.extend(layer.grad is None and g.d_weights.base is None
+                          and g.d_bias.base is None and zero_bits(g)
+                          for group in net.group_ids() if not net.trainable[group]
+                          for g, layer in zip(grads[group], net.group_layers(group)))
+            return grads, loss
+
+        monkeypatch.setattr(training, "net_backward", recording)
+        stages = training.regime_schedule("multistage:fv", list(dataset.banks))
+        training.run_schedule(stages, dataset, cfg, DESK)
+        # 5 batches a stage: stage1:fv freezes 2 branches, stage:cnn and
+        # stage:lbp freeze 2 branches and the trunk's 3 layers
+        assert frozen == [True] * (5 * 4 + 2 * 5 * 7)
+
+    @pytest.mark.parametrize("value", [-0.0, np.nan])
+    def test_zeros_like_clears_every_bit_of_the_buffer(self, value):
+        layer = DenseLayer(np.ones((3, 2)), np.ones(2))
+        layer.grad = training.LayerGrad(np.full((3, 2), value), np.full(2, value))
+        arrays = (layer.grad.d_weights, layer.grad.d_bias)
+        grad = training.LayerGrad.zeros_like(layer)
+        assert grad is layer.grad
+        assert grad.d_weights is arrays[0] and grad.d_bias is arrays[1]
+        assert zero_bits(grad)
