@@ -692,12 +692,13 @@ _GATHER_FLOATS = 1 << 16
 
 @dataclass
 class _StackedSplit:
-    """One split's sorted ids, labels and the feature matrices stacked so
-    far, each with the object it was stacked from."""
+    """One split's sorted ids and labels, and each kind's row index and
+    feature matrix built so far, each with the object it was built from."""
 
     table: AttributeTable
     ids: tuple[str, ...]
     y: np.ndarray
+    rows: dict[str, tuple[FeatureBank, np.ndarray, np.ndarray]] = field(default_factory=dict)
     xs: dict[str, tuple[FeatureBank, np.ndarray]] = field(default_factory=dict)
 
 
@@ -705,13 +706,17 @@ class _StackedSplit:
 class Dataset:
     """An attribute table and one feature bank per kind.
 
-    `arrays` stacks each split once: the first request for a split builds
-    its sorted ids and label matrix, the first request for a kind in it
-    builds that kind's feature matrix, and every later call returns those
-    same read-only float64 arrays. A split is stacked again when
-    `dataset.table` is replaced by another object, and a kind when
-    `dataset.banks[kind]` is; in-place edits to the rows, splits or
-    entries of an already stacked split are not seen.
+    `rows` maps a split's sorted ids to row indices into a kind's bank
+    matrix, which is how training gathers its float32 batches; `arrays`
+    stacks a split whole, as read-only float64 matrices, for validation
+    and evaluation. Each is built once: the first request for a split
+    builds its sorted ids and label matrix, the first request for a kind
+    in it builds that kind's row index (or matrix), and every later call
+    returns the same array. A split is built again when `dataset.table` is
+    replaced by another object, a kind's matrix when `dataset.banks[kind]`
+    is, and its row index also when the bank's matrix is (a bank grows
+    into a new one); other in-place edits to the rows, splits or entries
+    of an already built split are not seen.
     """
 
     table: AttributeTable
@@ -722,12 +727,7 @@ class Dataset:
     def kind_dims(self) -> list[tuple[str, int]]:
         return [(name, bank.dim) for name, bank in self.banks.items()]
 
-    def arrays(self, split: str, kinds=None) -> tuple[list[str], dict[str, np.ndarray], np.ndarray]:
-        """Dense (ids, {kind: X}, Y) matrices for one split, in sorted id order.
-
-        The matrices are shared and read-only; the dict and id list are
-        fresh on every call."""
-        kinds = list(kinds) if kinds is not None else list(self.banks)
+    def _split(self, split: str) -> _StackedSplit:
         stacked = self._stacked.get(split)
         if stacked is None or stacked.table is not self.table:
             ids = sorted(self.table.ids_for(split))
@@ -737,20 +737,42 @@ class Dataset:
                                dtype=np.float64).reshape(len(ids), self.table.n_attributes)
             y.flags.writeable = False
             stacked = self._stacked[split] = _StackedSplit(self.table, tuple(ids), y)
+        return stacked
+
+    def rows(self, split: str, kind: str) -> np.ndarray:
+        """The read-only row of `banks[kind].matrix` for each of the
+        split's ids, in sorted id order; an id the bank lacks is a
+        `DataFormatError`."""
+        stacked = self._split(split)
+        bank = self.banks.get(kind)
+        if bank is None:
+            raise ValueError(f"no feature bank for kind {kind!r}")
+        source, matrix, rows = stacked.rows.get(kind, (None, None, None))
+        if source is not bank or matrix is not bank.matrix:
+            try:
+                rows = np.fromiter(map(bank.rows.__getitem__, stacked.ids),
+                                   dtype=np.intp, count=len(stacked.ids))
+            except KeyError:
+                missing = [i for i in stacked.ids if i not in bank.rows]
+                raise DataFormatError(f"bank {kind!r} missing features for {len(missing)} "
+                                      f"images (first: {missing[0]!r})") from None
+            rows.flags.writeable = False
+            stacked.rows[kind] = (bank, bank.matrix, rows)
+        return rows
+
+    def arrays(self, split: str, kinds=None) -> tuple[list[str], dict[str, np.ndarray], np.ndarray]:
+        """Dense (ids, {kind: X}, Y) matrices for one split, in sorted id order.
+
+        The matrices are shared and read-only; the dict and id list are
+        fresh on every call."""
+        kinds = list(kinds) if kinds is not None else list(self.banks)
+        stacked = self._split(split)
         xs = {}
         for kind in kinds:
             bank = self.banks.get(kind)
-            if bank is None:
-                raise ValueError(f"no feature bank for kind {kind!r}")
             source, x = stacked.xs.get(kind, (None, None))
-            if source is not bank:
-                try:
-                    rows = np.fromiter(map(bank.rows.__getitem__, stacked.ids),
-                                       dtype=np.intp, count=len(stacked.ids))
-                except KeyError:
-                    missing = [i for i in stacked.ids if i not in bank.rows]
-                    raise ValueError(f"bank {kind!r} missing features for {len(missing)} "
-                                     f"images (first: {missing[0]!r})") from None
+            if bank is None or source is not bank:
+                rows = self.rows(split, kind)  # raises for a missing bank or id
                 x = np.empty((len(rows), bank.dim))
                 # gather in bounded chunks, so no `<f4` copy of the split is held
                 stride = max(1, _GATHER_FLOATS // max(bank.dim, 1))

@@ -224,6 +224,8 @@ def merge_sum(hs: list[np.ndarray]) -> np.ndarray:
     Two or more addends are accumulated in a canonical (byte-sorted)
     order so any permutation of the inputs yields a bit-identical result:
     `a + b` and `b + a` differ when both hold NaNs with different payloads.
+    The sort keys are the bytes of each addend's first 64 values, and all
+    its bytes only when two of those tie; a prefix orders as its whole.
     """
     if not hs:
         raise ValueError("cannot merge an empty list of branch outputs")
@@ -231,9 +233,13 @@ def merge_sum(hs: list[np.ndarray]) -> np.ndarray:
     dims = {h.shape[-1] for h in hs}
     if len(dims) > 1:
         raise ShapeError(f"branch output lengths differ: {sorted(dims)}")
-    ordered = sorted(hs, key=lambda h: h.tobytes()) if len(hs) > 1 else hs
-    total = ordered[0].copy()
-    for h in ordered[1:]:
+    if len(hs) > 1:
+        keys = [h.reshape(-1)[:64].tobytes() for h in hs]
+        if len(set(keys)) < len(keys):
+            keys = [h.tobytes() for h in hs]
+        hs = [h for _, _, h in sorted(zip(keys, range(len(hs)), hs))]
+    total = hs[0].copy()
+    for h in hs[1:]:
         total += h
     return total
 

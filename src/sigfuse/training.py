@@ -163,11 +163,17 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
     lays each learning group out in runs that one SGD step each updates.
     A group outside a batch's mask (moddrop) steps from the zeros that
     `net_backward` writes into its buffers.
+
+    The training split is never stacked: each batch takes its float32
+    rows from the banks, and `net_backward` lifts them to float64, which
+    gives the bytes a float64 stack would.
     """
     if not any(net.trainable.values()):
         raise ValueError("no trainable group in this stage")
     train_kinds = _policy_kinds(mask_policy, net)
-    _, xs, y = dataset.arrays("train", kinds=train_kinds)
+    _, _, y = dataset.arrays("train", kinds=())
+    rows = {k: dataset.rows("train", k) for k in train_kinds}
+    matrices = {k: dataset.banks[k].matrix for k in train_kinds}
     n = y.shape[0]
     shuffle_rng = make_rng(cfg.seed, _TAG_SHUFFLE, shuffle_key)
     drop_rng = make_rng(cfg.seed, _TAG_MODDROP, shuffle_key)
@@ -179,6 +185,7 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
         runs = [run for g in learning for run in _pack(net.group_layers(g))]
         for epoch in range(1, epochs + 1):
             perm = shuffle_rng.permutation(n)
+            order = {k: rows[k][perm] for k in train_kinds}
             total_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start:start + cfg.batch_size]
@@ -186,7 +193,8 @@ def run_stage(net: HybridNet, dataset: Dataset, cfg: TrainConfig, *,
                     mask = [train_kinds[drop_rng.integers(len(train_kinds))]]
                 else:
                     mask = train_kinds
-                batch = {k: xs[k][idx] for k in mask}
+                batch = {k: matrices[k].take(order[k][start:start + cfg.batch_size], axis=0)
+                         for k in mask}
                 _, loss = net_backward(batch, mask, net, y[idx])
                 _apply_updates((), (), cfg, velocities, runs)
                 total_loss += loss * len(idx)
@@ -267,14 +275,18 @@ def run_schedule(stages: list[StageSchedule], dataset: Dataset, cfg: TrainConfig
     """Train a fresh net, with a branch for every kind some stage trains,
     through `stages`: in each, exactly its groups learn; after the last,
     every group does. A val split with no examples (`DataFormatError`)
-    or no positive label (`UndefinedAPError`) fails before the net is built."""
+    or no positive label (`UndefinedAPError`), and a bank that lacks a
+    train or val id (`DataFormatError`), fail before the net is built."""
     _, _, val_labels = dataset.arrays("val", kinds=())
     if not val_labels.any():
         raise UndefinedAPError("split 'val' has no positive label for any attribute; "
                                "validation AP is undefined")
     learned = {g for s in stages for g in s.trainable}
-    net = build_net([kd for kd in dataset.kind_dims() if kd[0] in learned],
-                    profile_for(dataset, profile), cfg.seed)
+    kind_dims = [kd for kd in dataset.kind_dims() if kd[0] in learned]
+    for kind, _ in kind_dims:
+        for split in ("train", "val"):
+            dataset.rows(split, kind)
+    net = build_net(kind_dims, profile_for(dataset, profile), cfg.seed)
     logs, checkpoints = [], {}
     for s in stages:
         _learn_only(net, s.trainable)

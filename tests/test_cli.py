@@ -1083,3 +1083,47 @@ class TestDivergedTrain:
         err = capsys.readouterr().err
         assert "float32" in err and "layer" in err
         assert not out.parent.exists() or list(out.parent.iterdir()) == []
+
+
+def drop_split_id(synth_dir, kind: str, split_id: str) -> str:
+    """Rewrite bank `kind` without the first image of split `split_id`
+    (0 train, 1 val, 2 test), and return that image's id."""
+    pairs = [line.split() for line in (synth_dir / "partition.txt").read_text().splitlines()]
+    dropped = next(i for i, s in pairs if s == split_id)
+    bank = load_bank(synth_dir / f"{kind}.fbnk")
+    del bank.entries[dropped]
+    save_bank(bank, synth_dir / f"{kind}.fbnk")
+    return dropped
+
+
+class TestBankMissingASplitId:
+    """A bank that lacks an image of the train, val or test split is a
+    data error (exit 3), found before any batch is trained."""
+
+    @pytest.mark.parametrize("kind, split_id", [("fv", "0"), ("cnn", "1"), ("lbp", "1")])
+    def test_train_exits_3_before_any_batch(self, synth_dir, tmp_path, monkeypatch,
+                                            capsys, kind, split_id):
+        import sigfuse.training as training
+        calls = []
+        monkeypatch.setattr(training, "net_backward", lambda *a: calls.append(a))
+        dropped = drop_split_id(synth_dir, kind, split_id)
+        assert run(train_args(synth_dir, tmp_path / "m.hnet", "allfeat")) == 3
+        err = capsys.readouterr().err
+        assert f"bank {kind!r} missing features for 1 images (first: {dropped!r})" in err
+        assert calls == []
+        assert not list(tmp_path.glob("m.hnet*"))
+
+    def test_dedicated_trains_past_a_gap_in_another_kind(self, synth_dir, tmp_path):
+        drop_split_id(synth_dir, "cnn", "0")
+        assert run(train_args(synth_dir, tmp_path / "m.hnet", "dedicated:fv",
+                              extra=("--epochs", "1"))) == 0
+
+    def test_eval_exits_3(self, synth_dir, tmp_path, capsys):
+        model = tmp_path / "m.hnet"
+        assert run(train_args(synth_dir, model, "allfeat", extra=("--epochs", "1"))) == 0
+        dropped = drop_split_id(synth_dir, "lbp", "2")
+        prefix = tmp_path / "report"
+        assert run(eval_args(synth_dir, model, prefix)) == 3
+        assert f"bank 'lbp' missing features for 1 images (first: {dropped!r})" \
+            in capsys.readouterr().err
+        assert not list(tmp_path.glob("report*"))

@@ -651,3 +651,56 @@ class TestInputRefusals:
         with pytest.raises(ValueError, match=r"^latent dim and attribute count "
                                              r"must be positive$"):
             small_spec(**{field: 0})
+
+
+class TestDatasetRows:
+    """`Dataset.rows` is the one id -> bank row lookup: `arrays` stacks
+    through it and training gathers through it, so both see the same rows."""
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_rows_gather_the_stacked_bytes(self, split):
+        dataset = small_dataset()
+        for kind in ("a", "b"):
+            rows = dataset.rows(split, kind)
+            assert rows.dtype == np.intp and not rows.flags.writeable
+            assert dataset.rows(split, kind) is rows
+            wide = dataset.banks[kind].matrix.take(rows, axis=0).astype(np.float64)
+            assert wide.tobytes() == dataset.arrays(split, kinds=[kind])[1][kind].tobytes()
+
+    def test_missing_id_is_a_data_error(self):
+        dataset = small_dataset()
+        dropped = sorted(dataset.table.ids_for("val"))[3]
+        del dataset.banks["b"].entries[dropped]
+        with pytest.raises(DataFormatError,
+                           match=f"bank 'b' missing features for 1 images "
+                                 f"\\(first: '{dropped}'\\)"):
+            dataset.rows("val", "b")
+        assert len(dataset.rows("train", "b")) == 40
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="no feature bank for kind 'zz'"):
+            small_dataset().rows("train", "zz")
+
+    def test_a_grown_bank_gets_a_new_row_index(self):
+        """A write that grows the bank moves its rows into a new matrix,
+        so a row index into the old one would name other vectors."""
+        dataset = small_dataset()
+        bank = dataset.banks["a"]
+        old = dataset.rows("train", "a")
+        first = dataset.arrays("train")[0][0]
+        bank.entries[first] = bank.entries[first] + 5  # a full matrix grows
+        rows = dataset.rows("train", "a")
+        assert rows is not old
+        want = np.stack([bank.entries[i] for i in dataset.arrays("train")[0]])
+        assert bank.matrix.take(rows, axis=0).tobytes() == want.tobytes()
+
+    def test_replaced_bank_gets_a_new_row_index(self):
+        dataset = small_dataset()
+        old = dataset.rows("test", "a")
+        bank = dataset.banks["a"]
+        dataset.banks["a"] = FeatureBank("a", bank.dim,
+                                         dict(reversed(list(bank.entries.items()))))
+        rows = dataset.rows("test", "a")
+        assert rows is not old
+        assert np.array_equal(dataset.banks["a"].matrix.take(rows, axis=0),
+                              bank.matrix.take(old, axis=0))

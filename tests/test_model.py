@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -510,3 +511,61 @@ class TestWriterFloat32Range:
         net.branches[0].layer1.weights[0, 1] = -top
         loaded = model_from_bytes(model_to_bytes(net))
         assert loaded.branches[0].layer1.weights[0, :2].tolist() == [top, -top]
+
+
+def merge_by_whole_bytes(hs):
+    """`merge_sum` as it sorted before prefix keys: by every addend's bytes."""
+    ordered = sorted((np.asarray(h, dtype=np.float64) for h in hs), key=lambda h: h.tobytes())
+    total = ordered[0].copy()
+    for h in ordered[1:]:
+        total += h
+    return total
+
+
+def with_nan(values, at: int, payload: int) -> np.ndarray:
+    """A float64 copy of `values` holding a quiet NaN of `payload` at flat index `at`."""
+    out = np.array(values, dtype=np.float64)
+    out.reshape(-1).view(np.uint64)[at] = 0x7FF8000000000000 | payload
+    return out
+
+
+class TestMergeSumPrefixKeys:
+    """Sorting by the first 64 values, and by every byte only when two
+    of those tie, adds in the order the whole bytes give, bit for bit."""
+
+    def check_every_order(self, hs):
+        want = merge_by_whole_bytes(hs).tobytes()
+        with np.errstate(invalid="ignore"):
+            for order in itertools.permutations(hs):
+                assert merge_sum(list(order)).tobytes() == want
+
+    @pytest.mark.parametrize("shape", [(10,), (64,), (100,), (3, 40), (50, 32)])
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_distinct_prefixes(self, shape, count):
+        rng = make_rng(11, count)
+        self.check_every_order([rng.standard_normal(shape) for _ in range(count)])
+
+    @pytest.mark.parametrize("shape", [(100,), (3, 40), (2, 64)])
+    def test_tied_prefixes_fall_back_to_every_byte(self, shape):
+        rng = make_rng(12, 0)
+        base = rng.standard_normal(shape)
+        # equal in their first 64 values; only NaN payloads after them differ
+        a, b = with_nan(base, 70, 1), with_nan(base, 70, 2)
+        with np.errstate(invalid="ignore"):
+            assert (a + b).tobytes() != (b + a).tobytes()
+        self.check_every_order([a, b])
+        self.check_every_order([a, b, rng.standard_normal(shape)])
+        self.check_every_order([a, b, with_nan(base, 70, 3), base.copy()])
+
+    @pytest.mark.parametrize("at", [0, 63])
+    def test_nan_payloads_inside_the_prefix(self, at):
+        rng = make_rng(13, at)
+        base = rng.standard_normal((4, 32))
+        hs = [with_nan(base, at, p) for p in (5, 1, 3)]
+        self.check_every_order(hs)
+        self.check_every_order([*hs, rng.standard_normal((4, 32))])
+
+    def test_equal_addends(self):
+        h = make_rng(14, 0).standard_normal((5, 20))
+        self.check_every_order([h, h.copy(), h * 2])
+        self.check_every_order([h, h.copy()])

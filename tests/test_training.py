@@ -937,3 +937,70 @@ class TestZeroGradientsInTheirBuffers:
         assert grad is layer.grad
         assert grad.d_weights is arrays[0] and grad.d_bias is arrays[1]
         assert zero_bits(grad)
+
+
+class TestNoFloat64TrainingStack:
+    """Training takes each batch's float32 rows from the banks: no regime
+    asks `Dataset.arrays` for a training kind, a batch lifted to float64
+    holds the bytes the stacked split would give, and a stage over a wide
+    bank never holds memory the size of the split's float64 stack."""
+
+    @pytest.mark.parametrize("regime", ["dedicated:fv", "allfeat", "moddrop",
+                                        "multistage:fv", "allfeatinit"])
+    def test_no_regime_stacks_a_training_kind(self, regime, monkeypatch):
+        dataset = make_dataset(n_train=96, n_val=32, n_test=32)
+        arrays, requests = Dataset.arrays, []
+
+        def recording(self, split, kinds=None):
+            requests.append((split, None if kinds is None else list(kinds)))
+            return arrays(self, split, kinds)
+
+        monkeypatch.setattr(Dataset, "arrays", recording)
+        train_regime(regime, dataset, dataclasses.replace(QUICK, epochs=2), DESK)
+        assert ("train", []) in requests
+        assert [r for r in requests if r[0] == "train" and r[1] != []] == []
+
+    def test_batches_hold_the_stacked_bytes(self, monkeypatch):
+        dataset = make_dataset(n_train=150)
+        _, stacked, _ = Dataset(dataset.table, dataset.banks).arrays("train")
+        cfg = dataclasses.replace(QUICK, epochs=2)
+        real, batches = training.net_backward, []
+
+        def recording(batch, mask, net, labels):
+            batches.append({k: batch[k] for k in mask})
+            return real(batch, mask, net, labels)
+
+        monkeypatch.setattr(training, "net_backward", recording)
+        net = build_net(dataset.kind_dims(), profile_for(dataset, DESK), cfg.seed)
+        run_stage(net, dataset, cfg, stage="s", mask_policy="moddrop",
+                  val_mask=net.kind_names(), shuffle_key=3, epochs=cfg.epochs, logs=[])
+        shuffle = make_rng(cfg.seed, training._TAG_SHUFFLE, 3)
+        perms = [shuffle.permutation(150) for _ in range(cfg.epochs)]
+        idxs = [p[s:s + cfg.batch_size] for p in perms for s in range(0, 150, cfg.batch_size)]
+        assert len(batches) == len(idxs) == 10
+        for batch, idx in zip(batches, idxs):
+            for k, x in batch.items():
+                assert x.dtype == np.float32 and x.flags.c_contiguous
+                wide = np.asarray(x, dtype=np.float64)
+                assert wide.tobytes() == stacked[k][idx].tobytes()
+
+    def test_wide_stage_peak_stays_below_the_stack(self):
+        import tracemalloc
+        n_train, dim = 1900, 2000
+        dataset = Dataset(*synth_generate(SyntheticSpec(
+            latent_dim=4, views=(ViewSpec("wide", dim, 0.0),), n_attributes=3,
+            n_train=n_train, n_val=50, n_test=50, seed=2)))
+        profile = Profile(8, 8, 8, 8, 3)
+        net = build_net(dataset.kind_dims(), profile, 0)
+        stack_bytes = n_train * dim * 8
+        tracemalloc.start()
+        try:
+            run_stage(net, dataset, TrainConfig(lr=0.01, epochs=1, seed=0), stage="s",
+                      mask_policy="full", val_mask=["wide"], shuffle_key=0, epochs=1,
+                      logs=[])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # numpy reports its buffers to tracemalloc; even a float32 stack
+        # of the split (half the float64 one) would break this bound
+        assert peak < stack_bytes / 4, (peak, stack_bytes)
