@@ -27,8 +27,8 @@ from pathlib import Path
 
 from . import data as data_mod
 from .binfmt import atomic_file, atomic_write
-from .data import (DataFormatError, Dataset, SyntheticSpec, ViewSpec,
-                   format_attr_file, format_split_file, load_bank,
+from .data import (SPLIT_NAMES, DataFormatError, Dataset, SyntheticSpec,
+                   ViewSpec, format_attr_file, format_split_file, load_bank,
                    parse_attr_file, parse_split_file, write_bank)
 from .evaluate import UndefinedAPError, combination_sweep, report_emit
 from .model import (MAX_KINDS, PROFILES, ModelFormatError, load_model,
@@ -97,8 +97,13 @@ def _load_banks(bank_paths: dict[str, str], kinds, net=None) -> dict[str, data_m
 
 def load_dataset(attrs_path, split_path, bank_paths: dict[str, str], net=None) -> Dataset:
     """The attribute table with its splits, and the bank of each kind of
-    `net`, or without a net, of every kind in `bank_paths`."""
+    `net`, or without a net, of every kind in `bank_paths`. Given `net`,
+    the table must have one attribute per output; that is checked before
+    any bank is read."""
     table = parse_attr_file(Path(attrs_path).read_text())
+    if net is not None and table.n_attributes != net.n_outputs:
+        raise DataFormatError(f"attribute file {attrs_path} names {table.n_attributes} "
+                              f"attributes, the model scores {net.n_outputs}")
     table.splits = parse_split_file(Path(split_path).read_text())
     kinds = bank_paths if net is None else net.kind_names()
     return Dataset(table, _load_banks(bank_paths, kinds, net))
@@ -384,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attrs", required=True)
     p.add_argument("--split-file", required=True)
     p.add_argument("--bank", action="append", default=[], metavar="NAME=PATH")
-    p.add_argument("--split", default="test", choices=("train", "val", "test"))
+    p.add_argument("--split", default="test", choices=SPLIT_NAMES)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -15,7 +15,6 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .binfmt import Reader, write_header, write_str
 from .nn import make_rng
@@ -76,12 +75,15 @@ def parse_attr_file(text: str) -> AttributeTable:
     lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if len(lines) < 2:
         raise DataFormatError("attribute file needs a count line and a name line")
-    (count_no, count_line), (_, names_line) = lines[:2]
+    (count_no, count_line), (names_no, names_line) = lines[:2]
     try:
         count = int(count_line.split()[0])
     except ValueError:
         raise DataFormatError(f"line {count_no}: expected an image count, got {count_line!r}")
     names = names_line.split()
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise DataFormatError(f"line {names_no}: attribute {name!r} is named twice")
     rows, first_line = {}, {}
     for lineno, line in lines[2:]:
         tokens = line.split()
@@ -416,7 +418,7 @@ def bank_from_bytes(data: bytes) -> FeatureBank:
         raise DataFormatError("trailing bytes after bank data")
     offsets = np.concatenate([*offsets, np.array(stretch, dtype=np.intp)])
     records = np.frombuffer(data, dtype=np.uint8)
-    vectors = (sliding_window_view(records, step)[offsets] if count
+    vectors = (_windows(records, step)[offsets] if count
                else np.empty((0, step), dtype=np.uint8)).view("<f4")
     rows = dict(zip(ids, range(count)))
     if len(rows) != count:

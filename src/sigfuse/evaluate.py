@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .model import (HybridNet, branch_forward, merge_sum, net_forward,
-                    normalize_mask, trunk_forward)
+from .model import (HybridNet, bits_to_mask, branch_forward, merge_sum,
+                    net_forward, normalize_mask, trunk_forward)
 
 
 class UndefinedAPError(ValueError):
@@ -128,7 +128,7 @@ def combination_sweep(net: HybridNet, dataset: Dataset, split: str) -> EvalRepor
     encoded = {k: branch_forward(xs[k], net.branch_for(k)) for k in kinds}
     masks, per_attr, means = [], [], []
     for bits in range(1, 1 << len(kinds)):
-        mask = tuple(k for i, k in enumerate(kinds) if bits & (1 << i))
+        mask = tuple(bits_to_mask(bits, net))
         scores = trunk_forward(merge_sum([encoded[k] for k in mask]), net.trunk)
         aps, mean = scores_to_aps(scores, y)
         masks.append(mask)

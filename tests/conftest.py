@@ -1,7 +1,8 @@
 """Shared pytest hooks: the report header names the BLAS library numpy
 loaded, the kernel it picked and its thread count, and numpy's version
 and the SIMD dispatch targets it enabled, since the golden float pins
-hold for one kernel, dispatch level and thread count. Also the
+hold for one kernel, dispatch level and thread count; the `environment`
+fixture gives both lines to such pins' failure messages. Also the
 `mute_server` fixture, a peer that reads a request and never replies."""
 
 import socket
@@ -40,6 +41,13 @@ def pytest_report_header(config):
         return f"blas: no OpenBLAS in {blas.LIBS}"
     threads = lib.threads() if lib.threads is not None else "?"
     return f"blas: {lib.name} core={lib.core_name()} threads={threads}"
+
+
+@pytest.fixture(scope="session")
+def environment():
+    """The two header lines as one string, for the failure message of a
+    pin that holds for one BLAS kernel and numpy dispatch level."""
+    return f"{pytest_report_header(None)}; {_NumpyHeader.pytest_report_header(None)}"
 
 
 @pytest.fixture

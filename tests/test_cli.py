@@ -1127,3 +1127,133 @@ class TestBankMissingASplitId:
         assert f"bank 'lbp' missing features for 1 images (first: {dropped!r})" \
             in capsys.readouterr().err
         assert not list(tmp_path.glob("report*"))
+
+
+class TestModelOutputsAgainstTheTable:
+    """`eval` with a table of another attribute count than the model's
+    outputs is a data error (exit 3), found before any bank is read."""
+
+    def test_eval_exits_3_before_any_bank(self, tmp_path, monkeypatch, capsys):
+        import sigfuse.cli as cli
+        wide, narrow = tmp_path / "wide", tmp_path / "narrow"
+        for out, count in ((wide, "8"), (narrow, "4")):
+            assert run(["synth", "--out-dir", str(out), "--latent-dim", "6",
+                        "--view", "fv:10:0.05", "--attributes", count, "--train-count", "120",
+                        "--val-count", "40", "--test-count", "40", "--seed", "5"]) == 0
+        model = tmp_path / "m.hnet"
+        assert run(["train", "--regime", "allfeat", "--attrs", str(wide / "attrs.txt"),
+                    "--split-file", str(wide / "partition.txt"),
+                    "--bank", f"fv={wide / 'fv.fbnk'}", "--epochs", "1",
+                    "--out", str(model)]) == 0
+        capsys.readouterr()
+        loaded = []
+        monkeypatch.setattr(cli, "load_bank", lambda path: loaded.append(path))
+        attrs = narrow / "attrs.txt"
+        assert run(["eval", "--model", str(model), "--attrs", str(attrs),
+                    "--split-file", str(narrow / "partition.txt"),
+                    "--bank", f"fv={narrow / 'fv.fbnk'}",
+                    "--out-prefix", str(tmp_path / "report")]) == 3
+        assert capsys.readouterr().err == (f"data error: attribute file {attrs} names 4 "
+                                           f"attributes, the model scores 8\n")
+        assert loaded == []
+        assert not list(tmp_path.glob("report*"))
+
+
+class TestAttributeNamedTwice:
+    """An attribute file whose names line repeats a name is a data error
+    naming the line and the name, for `train` and for `eval`."""
+
+    @staticmethod
+    def repeat_first_name(synth_dir):
+        path = synth_dir / "attrs.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace("attr_01", "attr_00")
+        path.write_text("".join(lines))
+
+    def test_train(self, synth_dir, tmp_path, capsys):
+        self.repeat_first_name(synth_dir)
+        assert run(train_args(synth_dir, tmp_path / "m.hnet", "allfeat")) == 3
+        assert capsys.readouterr().err == \
+            "data error: line 2: attribute 'attr_00' is named twice\n"
+        assert not list(tmp_path.glob("m.hnet*"))
+
+    def test_eval(self, synth_dir, tmp_path, capsys):
+        model = tmp_path / "m.hnet"
+        assert run(train_args(synth_dir, model, "allfeat", extra=("--epochs", "1"))) == 0
+        self.repeat_first_name(synth_dir)
+        capsys.readouterr()
+        assert run(eval_args(synth_dir, model, tmp_path / "report")) == 3
+        assert capsys.readouterr().err == \
+            "data error: line 2: attribute 'attr_00' is named twice\n"
+        assert not list(tmp_path.glob("report*"))
+
+    def test_line_number_counts_blank_lines(self):
+        from sigfuse.data import DataFormatError, parse_attr_file
+        with pytest.raises(DataFormatError, match=r"^line 4: attribute 'b' is named twice$"):
+            parse_attr_file("1\n\n\na b c b\nimg 1 1 1 1\n")
+
+
+class TestServeEnvironment:
+    """`serve` takes its model from --model, else from SIGFUSE_MODEL; a
+    model that is missing, absent or cut exits with its class, and no
+    case here binds a socket."""
+
+    @pytest.fixture(autouse=True)
+    def no_server(self, monkeypatch):
+        from sigfuse import protocol
+
+        def bound(*args, **kwargs):
+            raise AssertionError("a socket was bound")
+
+        monkeypatch.setattr(protocol, "_pin_blas_to_one_thread", lambda: "")
+        monkeypatch.setattr(protocol, "SignatureServer", bound)
+        monkeypatch.delenv("SIGFUSE_MODEL", raising=False)
+        monkeypatch.delenv("SIGFUSE_PORT", raising=False)
+
+    def test_no_model_anywhere(self, capsys):
+        assert run(["serve"]) == 2
+        assert capsys.readouterr().err == \
+            "usage error: provide --model or set SIGFUSE_MODEL\n"
+
+    def test_env_names_a_missing_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SIGFUSE_MODEL", str(tmp_path / "absent.hnet"))
+        assert run(["serve", "--port", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "absent.hnet" in err
+
+    def test_env_names_a_cut_model(self, tmp_path, monkeypatch, capsys):
+        model = tmp_path / "cut.hnet"
+        save_model(build_net([("fv", 4)], PROFILES["desk"], seed=0), model)
+        model.write_bytes(model.read_bytes()[:2000])
+        monkeypatch.setenv("SIGFUSE_MODEL", str(model))
+        assert run(["serve", "--port", "0"]) == 3
+        assert run(["serve", "--model", str(model), "--port", "0"]) == 3
+        errs = capsys.readouterr().err.splitlines()
+        assert len(errs) == 2 and errs[0] == errs[1]
+        assert errs[0].startswith("data error: ")
+
+    def test_flag_wins_over_env(self, tmp_path, monkeypatch, capsys):
+        import sigfuse.cli as cli
+        served = []
+
+        class Spy:
+            endpoint = ("127.0.0.1", 7040)
+
+            def __init__(self, path, host, port):
+                served.append((path, host, port))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def serve_forever(self):
+                pass
+
+        monkeypatch.setattr(cli, "serve", Spy)
+        monkeypatch.setenv("SIGFUSE_MODEL", str(tmp_path / "env.hnet"))
+        flag = str(tmp_path / "flag.hnet")
+        assert run(["serve", "--model", flag, "--port", "0"]) == 0
+        assert served == [(flag, "127.0.0.1", 0)]
+        assert capsys.readouterr().out == f"serving {flag} on 127.0.0.1:7040\n"
