@@ -7,9 +7,12 @@ sends a frame.
 
 AP uses the interpolation-free discrete estimator: mean precision at the
 ranks of the positives after a stable descending sort (ties broken by
-ascending original index). One kernel, `_column_aps`, ranks every
-attribute of a score matrix at once. Attributes without positives in a
-split have undefined AP; they are excluded from means and rendered as n/a.
+ascending original index); the k-th positive at 0-based rank r has
+precision k / (r + 1). Labels must be 0 or 1, and any other value (a
+CelebA -1, a 2, a NaN) raises `LabelError`. One kernel, `_column_aps`,
+ranks every attribute of a score matrix at once. Attributes without
+positives in a split have undefined AP; they are excluded from means and
+rendered as n/a.
 """
 
 from __future__ import annotations
@@ -29,33 +32,45 @@ class UndefinedAPError(ValueError):
     """AP is undefined when a split has no positives for an attribute."""
 
 
+class LabelError(ValueError):
+    """AP ranks 0/1 labels; any other label value has no AP."""
+
+
 def _column_aps(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The AP of every column of matching (n, L) arrays; NaN where a column
-    has no nonzero label.
+    """The AP of every column of matching (n, L) arrays of scores and 0/1
+    labels; NaN where a column has no positive.
 
     All columns are ranked by one quicksort. A row of distinct keys has one
     sorted order, the stable one, so only rows with a tie, a +/-0 pair or a
-    NaN (found on their sorted keys) are ranked again with a stable sort.
-    A stable sort of every row gives the same order at ~4.5x the cost for
-    float64 keys, and tied rows are rare in trained nets' scores.
-    Each column's mean is the pairwise sum of its own 1-D selection over its
-    count, the bits of `precision_at[hits == 1].mean()` per column.
+    NaN (found on the keys the quicksort order gathers) are ranked again
+    with a stable sort. A stable sort of every row gives the same order at
+    ~4.5x the cost for float64 keys, and tied rows are rare in trained
+    nets' scores.
+    With 0/1 labels the k-th positive of a column, at 0-based rank r, has
+    precision k / (r + 1): the float cumsum of the hits up to it is k
+    exactly. Each column's AP is the pairwise sum of its contiguous slice
+    of one flat precision array over its count, which has the bits of
+    `mean()` over the precisions at that column's positives.
     """
     n, n_cols = scores.shape
     keys = np.negative(scores.T, order="C")  # C-order rows: argsort copies none
     order = np.argsort(keys, axis=1)
-    ranked = np.sort(keys, axis=1)
+    order += n * np.arange(n_cols)[:, None]  # flat indices into (L, n) rows
+    ranked = keys.ravel()[order]
     for row in np.flatnonzero(~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)):
-        order[row] = np.argsort(keys[row], kind="stable")
-    order += n * np.arange(n_cols)[:, None]
-    hits = labels.T.ravel()[order].astype(np.float64, copy=False)
-    precision_at = np.cumsum(hits, axis=1)
-    precision_at /= np.arange(1, n + 1)
-    positive = hits == 1
+        order[row] = np.argsort(keys[row], kind="stable") + row * n
+    positive = np.flatnonzero(np.equal(labels.T, 1, order="C").ravel()[order])
+    if positive.size != np.count_nonzero(labels):
+        bad = labels[(labels != 0) & (labels != 1)].flat[0].item()
+        raise LabelError(f"labels must be 0 or 1, got {bad!r}")
+    row_starts = n * np.arange(n_cols + 1)
+    bounds = np.searchsorted(positive, row_starts)  # each column's slice
+    counts = np.diff(bounds)
+    k = np.arange(1, positive.size + 1) - np.repeat(bounds[:-1], counts)
+    precision = k / (positive + 1 - np.repeat(row_starts[:-1], counts))  # k / (r + 1)
     aps = np.full(n_cols, np.nan)
-    for col in np.flatnonzero(hits.any(axis=1)):
-        selected = precision_at[col][positive[col]]
-        aps[col] = np.add.reduce(selected) / selected.size
+    for col in np.flatnonzero(counts).tolist():
+        aps[col] = np.add.reduce(precision[bounds[col]:bounds[col + 1]]) / counts[col]
     return aps
 
 
@@ -91,7 +106,7 @@ def scores_to_aps(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, f
     defined = aps[~np.isnan(aps)]
     if defined.size == 0:
         raise UndefinedAPError("every attribute has undefined AP on this split")
-    return aps, float(defined.mean())
+    return aps, float(np.add.reduce(defined) / defined.size)
 
 
 @dataclass

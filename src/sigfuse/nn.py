@@ -130,10 +130,14 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     (0, 1) so outputs are strictly open-interval for every finite input.
     """
     v = np.asarray(v, dtype=np.float64)
-    pos = v >= 0
-    # not exp(-|v|): abs then negate would set the sign bit of a NaN
-    e = np.exp(np.where(pos, -v, v))
-    out = np.where(pos, 1.0, e)
+    # exp(-|v|) without abs: for a NaN v, minimum returns v itself, where
+    # abs then negate would set the NaN's sign bit; numerator and
+    # denominator then hold the same NaN, so the divide keeps it whichever
+    # NaN operand the CPU passes on
+    e = np.exp(np.minimum(v, np.negative(v)))
+    # the numerator without a mask: exp(v) for v < 0, exactly 1 for v >= 0
+    out = np.minimum(v, 0.0, out=np.empty_like(v))  # an array for 0-d v too
+    np.exp(out, out=out)
     e += 1.0
     out /= e
     np.maximum(out, _SIGMOID_LOW, out=out)

@@ -3,7 +3,9 @@ loaded, the kernel it picked and its thread count, and numpy's version
 and the SIMD dispatch targets it enabled, since the golden float pins
 hold for one kernel, dispatch level and thread count; the `environment`
 fixture gives both lines to such pins' failure messages. Also the
-`mute_server` fixture, a peer that reads a request and never replies."""
+`mute_server` fixture, a peer that reads a request and never replies, and
+an autouse fixture that unsets the `SIGFUSE_*` variables the CLI reads,
+so that no test sees the caller's model, port or seed."""
 
 import socket
 import struct
@@ -41,6 +43,12 @@ def pytest_report_header(config):
         return f"blas: no OpenBLAS in {blas.LIBS}"
     threads = lib.threads() if lib.threads is not None else "?"
     return f"blas: {lib.name} core={lib.core_name()} threads={threads}"
+
+
+@pytest.fixture(autouse=True)
+def _no_cli_environment(monkeypatch):
+    for name in ("SIGFUSE_MODEL", "SIGFUSE_PORT", "SIGFUSE_SEED"):
+        monkeypatch.delenv(name, raising=False)
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,10 @@ from hypothesis.extra.numpy import arrays
 
 from sigfuse import evaluate
 from sigfuse.data import Dataset, SyntheticSpec, ViewSpec, synth_generate
-from sigfuse.evaluate import (EvalReport, UndefinedAPError, average_precision,
-                              combination_sweep, evaluate_mask,
-                              parse_report_csv, report_emit, scores_to_aps)
+from sigfuse.evaluate import (EvalReport, LabelError, UndefinedAPError,
+                              average_precision, combination_sweep,
+                              evaluate_mask, parse_report_csv, report_emit,
+                              scores_to_aps)
 from sigfuse.model import PROFILES, build_net, net_forward
 from sigfuse.nn import make_rng
 
@@ -219,6 +220,96 @@ class TestColumnKernel:
     def test_empty_split_is_undefined(self):
         with pytest.raises(UndefinedAPError, match="every attribute"):
             scores_to_aps(np.zeros((0, 3)), np.zeros((0, 3)))
+
+
+def stable_argsort_calls(scores, labels):
+    """`scores_to_aps(scores, labels)` and the row shapes `np.argsort` was
+    asked to sort stably on the way."""
+    real_argsort, stable_calls = np.argsort, []
+
+    def spying(a, *args, kind=None, **kwargs):
+        if kind == "stable":
+            stable_calls.append(a.shape)
+        return real_argsort(a, *args, kind=kind, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "argsort", spying)
+        result = scores_to_aps(scores, labels)
+    return result, stable_calls
+
+
+class TestRankOnceKernel:
+    """The per-column reference's bytes from the kernel that ranks once and
+    takes precision k / (r + 1) at the positives."""
+
+    def test_bits_match_reference_at_2_17_rows(self):
+        rng = make_rng(11)
+        n = 1 << 17
+        scores = rng.random((n, 6))
+        scores[:, 4] = rng.integers(0, 50, n) / 64.0  # tied
+        labels = (rng.random((n, 6)) < np.array([0.5, 0.01, 0.99, 0.3, 0.2, 1e-4]))
+        labels = labels.astype(np.uint8)
+        assert_bits_match_reference(scores, labels)
+
+    def test_columns_of_one_or_all_positives(self):
+        rng = make_rng(12)
+        n = 300
+        scores = rng.random((n, 5))
+        labels = np.zeros((n, 5))
+        labels[:, 0] = 1                                # every row positive
+        labels[137, 1] = 1                              # one positive
+        labels[np.argmin(scores[:, 2]), 2] = 1          # the only positive ranks last
+        labels[np.argmax(scores[:, 3]), 3] = 1          # ... or first
+        labels[:, 4] = rng.random(n) < 0.5
+        aps, _ = scores_to_aps(scores, labels)
+        assert aps[0] == 1.0 and aps[3] == 1.0
+        assert aps[2] == 1.0 / n
+        assert_bits_match_reference(scores, labels)
+
+    def test_tied_rows_among_distinct_rows_keep_their_offset(self):
+        rng = make_rng(13)
+        n = 500
+        scores = rng.permutation(6 * n).reshape(n, 6) / (6.0 * n)  # distinct
+        scores[:, 2] = rng.integers(0, 4, n) / 4.0               # ties
+        scores[:, 5] = 0.0
+        scores[::3, 5] = -0.0                                    # +/-0 only
+        labels = (rng.random((n, 6)) < 0.4).astype(np.float64)
+        (aps, mean), stable_calls = stable_argsort_calls(scores, labels)
+        assert stable_calls == [(n,), (n,)]
+        want = reference_scores_to_aps(scores, labels)
+        assert aps.tobytes() == want[0].tobytes()
+        assert np.float64(mean).tobytes() == np.float64(want[1]).tobytes()
+
+
+class TestLabelRefusals:
+    """AP is defined for 0/1 labels; any other value is refused, where the
+    old kernel scored it."""
+
+    @pytest.mark.parametrize("bad, dtype, shown", [
+        (2, np.int64, "2"), (0.5, np.float64, "0.5"), (-1, np.int8, "-1"),
+        (np.nan, np.float64, "nan")])
+    def test_the_value_is_named(self, bad, dtype, shown):
+        scores = np.array([0.9, 0.6, 0.3, 0.1])
+        labels = np.array([1, 0, bad, 0], dtype=dtype)
+        message = f"labels must be 0 or 1, got {shown}$"
+        with pytest.raises(LabelError, match=message):
+            average_precision(scores, labels)
+        with pytest.raises(LabelError, match=message):
+            scores_to_aps(np.stack([scores, scores], axis=1),
+                          np.stack([np.array([0, 1, 0, 0], dtype=dtype), labels], axis=1))
+        assert issubclass(LabelError, ValueError)
+
+    @pytest.mark.parametrize("labels", [[2, 0, 1], [1, 0, -1], [2, 0, 0]])
+    def test_cases_that_once_scored(self, labels):
+        scores = np.array([0.9, 0.5, 0.1])
+        with pytest.raises(LabelError, match="labels must be 0 or 1"):
+            average_precision(scores, np.array(labels))
+        with pytest.raises(LabelError, match="labels must be 0 or 1"):
+            scores_to_aps(scores[:, None], np.array(labels)[:, None])
+
+    def test_all_zero_labels_stay_undefined(self):
+        with pytest.raises(UndefinedAPError):
+            average_precision(np.array([0.5, 0.2]), np.array([0.0, -0.0]))
 
 
 def toy_dataset(seed=0, n_attr=4):

@@ -107,6 +107,57 @@ class TestSigmoid:
             assert out.tobytes() == self.masked_reference(x).tobytes()
 
 
+class TestSigmoidLayouts:
+    """The bytes of the masked formula on C, strided, transposed and
+    Fortran-ordered inputs, at the shapes the code runs: a training batch,
+    a sweep or validation split, a 40-row split and a one-row query."""
+
+    NANS = np.array([0x7FF8000000000123, 0xFFF8000000000456,   # quiet, both signs
+                     0x7FF0000000000001, 0xFFF4000000000002],  # signaling
+                    dtype=np.uint64).view(np.float64)
+    tiny = np.finfo(np.float64).tiny
+    EDGES = np.concatenate([NANS, [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                                   tiny, -tiny, tiny / 3, -tiny / 3, 36.8, -36.8,
+                                   709.8, -709.8, 745.2, -745.2]])
+
+    @staticmethod
+    def layouts(values, shape):
+        """(name, array) pairs of `shape` built from `values`."""
+        base = values.reshape(shape)
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+        wide[..., ::-2] = base
+        yield "C", base
+        yield "strided", wide[..., ::-2]
+        yield "transposed", values.reshape(shape[::-1]).T
+        yield "Fortran", np.asfortranarray(base)
+
+    @staticmethod
+    def assert_bits(x, layout):
+        with np.errstate(invalid="ignore"):  # exp of a signaling NaN may flag it
+            out, want = sigmoid(x), TestSigmoid.masked_reference(x)
+        assert out.shape == x.shape
+        assert out.tobytes() == want.tobytes(), layout
+
+    @pytest.mark.parametrize("shape", [(64, 8), (1000, 8), (40,)])
+    def test_bits_match_masked_reference(self, shape):
+        size = int(np.prod(shape))
+        rng = make_rng(size)
+        values = np.resize(self.EDGES, size)
+        values[len(self.EDGES):] = rng.normal(size=size - len(self.EDGES)) * 30
+        values = rng.permutation(values)
+        for layout, x in self.layouts(values, shape):
+            self.assert_bits(x, layout)
+
+    def test_one_query_row(self):
+        for value in self.EDGES:
+            for layout, x in self.layouts(np.array([value]), (1, 1)):
+                self.assert_bits(x, layout)
+
+    def test_a_0d_input_gives_a_0d_array(self):
+        out = sigmoid(0.0)
+        assert isinstance(out, np.ndarray) and out.shape == () and out == 0.5
+
+
 class TestBceLoss:
     def test_uniform_prediction(self):
         pred = np.full(40, 0.5)
