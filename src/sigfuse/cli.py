@@ -95,16 +95,28 @@ def _load_banks(bank_paths: dict[str, str], kinds, net=None) -> dict[str, data_m
     return banks
 
 
+def _read_utf8(path, what: str) -> str:
+    """The text of `path`; a byte that is not UTF-8 is a data error naming
+    the file and the line, numbered as the parsers number lines."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[:exc.start].decode("utf-8") + "?").splitlines())
+        raise DataFormatError(f"{what} {path}, line {line}: not UTF-8 "
+                              f"({exc.reason} at byte {exc.start})") from None
+
+
 def load_dataset(attrs_path, split_path, bank_paths: dict[str, str], net=None) -> Dataset:
     """The attribute table with its splits, and the bank of each kind of
     `net`, or without a net, of every kind in `bank_paths`. Given `net`,
     the table must have one attribute per output; that is checked before
     any bank is read."""
-    table = parse_attr_file(Path(attrs_path).read_text())
+    table = parse_attr_file(_read_utf8(attrs_path, "attribute file"))
     if net is not None and table.n_attributes != net.n_outputs:
         raise DataFormatError(f"attribute file {attrs_path} names {table.n_attributes} "
                               f"attributes, the model scores {net.n_outputs}")
-    table.splits = parse_split_file(Path(split_path).read_text())
+    table.splits = parse_split_file(_read_utf8(split_path, "partition file"))
     kinds = bank_paths if net is None else net.kind_names()
     return Dataset(table, _load_banks(bank_paths, kinds, net))
 

@@ -12,6 +12,8 @@ Statuses: 0 ok, 1 bad frame, 2 dimension mismatch, 3 server error.
 
 from __future__ import annotations
 
+import logging
+import queue
 import socket
 import socketserver
 import struct
@@ -39,13 +41,15 @@ STATUS_SERVER_ERROR = 3
 # `shutdown()` waits up to this long
 BACKGROUND_POLL_S = 0.05
 # seconds a handler waits on each read or write of its connection; a
-# client that stalls longer, mid-frame or between frames, is disconnected
+# client that stalls longer, mid-frame or between frames, is disconnected.
+# A handler thread left idle this long ends.
 READ_TIMEOUT_S = 10.0
 
 _HEADER = struct.Struct("<4sBBH")
 # per magic: what error messages call the frame, its payload and its count
 _NAMES = {REQUEST_MAGIC: ("request", "signature", "dim"),
           RESPONSE_MAGIC: ("response", "score", "count")}
+_LOG = logging.getLogger("sigfuse.protocol")
 
 
 class FrameError(ValueError):
@@ -158,11 +162,13 @@ def score_signature(net: HybridNet, values: np.ndarray) -> tuple[int, np.ndarray
 
 
 def _reply(net: HybridNet, frame: bytes) -> bytes:
-    """The reply to one whole request frame; any fault in scoring is status 3."""
+    """The reply to one whole request frame; any fault in scoring is
+    logged and is status 3."""
     request = decode_request(frame)
     try:
         status, scores = score_signature(net, request.values)
-    except Exception:
+    except Exception as exc:
+        _LOG.exception("scoring fault, replied status 3: %r", exc)
         status, scores = STATUS_SERVER_ERROR, np.empty(0)
     return encode_response(status, scores)
 
@@ -181,20 +187,68 @@ class _Handler(socketserver.BaseRequestHandler):
             pass
 
 
-class SignatureServer(socketserver.ThreadingTCPServer):
+class SignatureServer(socketserver.TCPServer):
     """Concurrent score server; the loaded model is shared immutable state.
+
+    Each connection is handled on a thread of its own, and no client waits
+    behind another's connection. A thread whose connection ends waits for
+    the next one; a connection starts a new thread only when no thread is
+    idle, and a thread left idle for READ_TIMEOUT_S ends.
 
     The listen backlog is the system's largest, not `socketserver`'s 5: a
     burst of connects beyond the backlog has its SYNs dropped, and each
     dropped client waits out a 1 s retry before it is even accepted."""
 
     allow_reuse_address = True
-    daemon_threads = True
     request_queue_size = socket.SOMAXCONN
 
     def __init__(self, net: HybridNet, host: str = "127.0.0.1", port: int = 0):
         self.net = net
+        # idle = threads waiting on `_jobs` minus the jobs queued there
+        self._jobs = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._idle = 0
+        self._closed = False
         super().__init__((host, port), _Handler)
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            self._jobs.put((request, client_address))
+            if self._idle:
+                self._idle -= 1
+            else:
+                threading.Thread(target=self._handle_jobs, daemon=True).start()
+
+    def _handle_jobs(self):
+        """Handle queued connections until idle for READ_TIMEOUT_S, or
+        until the server is closed."""
+        while True:
+            try:
+                job = self._jobs.get(timeout=READ_TIMEOUT_S)
+            except queue.Empty:
+                with self._lock:  # a job queued during the wait is still taken
+                    if self._jobs.empty():
+                        self._idle -= 1
+                        return
+                continue
+            if job is None:
+                return
+            # finish, report a fault, close: the stdlib's per-thread body
+            socketserver.ThreadingMixIn.process_request_thread(self, *job)
+            with self._lock:
+                if self._closed:
+                    return
+                self._idle += 1
+
+    def server_close(self):
+        """Close the listening socket and end every idle thread; a busy
+        thread ends after its connection."""
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            for _ in range(self._idle):
+                self._jobs.put(None)
+            self._idle = 0
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -232,8 +286,9 @@ def serve(model_path, host: str = "127.0.0.1", port: int = 0) -> SignatureServer
     """Start a serving process's server: load the model's trunk, run BLAS
     on one thread and bind. The branch bytes are read and checked but not
     kept: clients run the branches, the server only the trunk. Requests
-    already run concurrently, one handler thread each, so a 1-row trunk
-    matvec spread over more BLAS threads only takes cores from the other
+    already run concurrently, one handler thread per open connection
+    (threads are reused, see `SignatureServer`), so a 1-row trunk matvec
+    spread over more BLAS threads only takes cores from the other
     requests. The BLAS line goes to stderr.
     `SignatureServer` itself leaves the process's BLAS threads alone.
     """

@@ -1257,3 +1257,46 @@ class TestServeEnvironment:
         assert run(["serve", "--model", flag, "--port", "0"]) == 0
         assert served == [(flag, "127.0.0.1", 0)]
         assert capsys.readouterr().out == f"serving {flag} on 127.0.0.1:7040\n"
+
+
+class TestNotUtf8Text:
+    """A byte that is not UTF-8 in the attribute file or the partition
+    file is a data error (exit 3) naming the file and the line, for
+    `train` and for `eval`; no model or report is written."""
+
+    FILES = {"attrs.txt": "attribute file", "partition.txt": "partition file"}
+
+    @staticmethod
+    def stamp_0xff(path, line: int) -> None:
+        """Overwrite the first byte of `path`'s 1-based `line` with 0xff."""
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xff" + lines[line - 1][1:]
+        path.write_bytes(b"".join(lines))
+
+    @pytest.mark.parametrize("name", FILES)
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_exits_3_naming_file_and_line(self, synth_dir, tmp_path, capsys, command, name):
+        model = tmp_path / "m.hnet"
+        if command == "eval":
+            assert run(train_args(synth_dir, model, "allfeat", extra=("--epochs", "1"))) == 0
+        path = synth_dir / name
+        self.stamp_0xff(path, 7)
+        capsys.readouterr()
+        argv = (train_args(synth_dir, model, "allfeat") if command == "train"
+                else eval_args(synth_dir, model, tmp_path / "report"))
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {self.FILES[name]} {path}, line 7: "
+                              f"not UTF-8"), err
+        assert not list(tmp_path.glob("report*"))
+        if command == "train":
+            assert not list(tmp_path.glob("m.hnet*"))
+
+    def test_lines_are_numbered_as_the_parsers_number_them(self, tmp_path):
+        from sigfuse.cli import _read_utf8
+        from sigfuse.data import DataFormatError
+        path = tmp_path / "attrs.txt"
+        path.write_bytes(b"2\r\n\na b\rimg0 1 1\x0c\xffimg 1 1\n")
+        with pytest.raises(DataFormatError, match=r", line 5: not UTF-8 \(invalid start "
+                                                  r"byte at byte 17\)$"):
+            _read_utf8(path, "attribute file")

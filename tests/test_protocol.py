@@ -1,3 +1,4 @@
+import queue
 import re
 import socket
 import subprocess
@@ -266,6 +267,27 @@ class TestOneReplyPerFrame:
         assert decode_response(data[:8]).status == STATUS_SERVER_ERROR
         assert decode_response(data[8:]).status == STATUS_OK
 
+    def test_a_scoring_fault_is_logged_with_its_type(self, server, monkeypatch, caplog):
+        def faulty(net, values):
+            raise MemoryError("scoring fault")
+
+        monkeypatch.setattr(protocol, "score_signature", faulty)
+        frame = encode_request(np.ones(server.net.signature_dim), 1)
+        with caplog.at_level("ERROR", logger="sigfuse.protocol"):
+            data = raw_exchange(server.endpoint, frame)
+        assert data == encode_response(STATUS_SERVER_ERROR)
+        [record] = caplog.records
+        assert record.name == "sigfuse.protocol"
+        assert "MemoryError('scoring fault')" in record.getMessage()
+        assert record.exc_info[0] is MemoryError
+
+    def test_a_nan_payload_logs_nothing(self, server, caplog):
+        frame = encode_request(np.full(server.net.signature_dim, np.nan), 1)
+        with caplog.at_level("DEBUG", logger="sigfuse.protocol"):
+            data = raw_exchange(server.endpoint, frame)
+        assert data == encode_response(STATUS_SERVER_ERROR)
+        assert not caplog.records
+
     def test_a_bad_frame_after_a_good_one_ends_the_connection(self, server):
         good = encode_request(np.ones(server.net.signature_dim), 1)
         data = raw_exchange(server.endpoint, good + b"GARBAGE-" + bytes(8) + good)
@@ -301,6 +323,181 @@ class TestReadDeadline:
             assert not set(threading.enumerate()) - baseline
             assert decode_response(raw_exchange(srv.endpoint, frame)).status == STATUS_OK
         finally:
+            srv.shutdown()
+            srv.server_close()
+
+
+class TestHandlerThreads:
+    """A connection goes to an idle handler thread, and a thread starts
+    only when none is idle; idle threads end after READ_TIMEOUT_S, or at
+    once when the server is closed. No client waits behind another's
+    connection."""
+
+    @staticmethod
+    def pinned(net, seed):
+        """A request and its reply bytes, computed without the server."""
+        sig = make_rng(seed).standard_normal(net.signature_dim).astype("<f4")
+        scores = trunk_forward(sig.astype(np.float64), net.trunk)
+        return encode_request(sig, 1), encode_response(STATUS_OK, scores)
+
+    @staticmethod
+    def burst(endpoint, frame, n):
+        """The replies to `n` exchanges of `frame` started at once."""
+        results = [None] * n
+        start = threading.Barrier(n, timeout=10)
+
+        def client(i):
+            start.wait()
+            results[i] = raw_exchange(endpoint, frame)
+
+        clients = [threading.Thread(target=client, args=(i,)) for i in range(n)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=10)
+        return results
+
+    @staticmethod
+    def wait_for_baseline(baseline, seconds):
+        deadline = time.monotonic() + seconds
+        while set(threading.enumerate()) - baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return set(threading.enumerate()) - baseline
+
+    def test_connections_one_after_another_share_one_thread(self, server, monkeypatch):
+        real, handlers = SignatureServer.finish_request, []
+
+        def recording(self, request, client_address):
+            # the Thread object, not get_ident(): an ended thread's ident
+            # may be given to the next thread started
+            handlers.append(threading.current_thread())
+            return real(self, request, client_address)
+
+        monkeypatch.setattr(SignatureServer, "finish_request", recording)
+        frame, reply = self.pinned(server.net, 51)
+        for _ in range(6):
+            assert raw_exchange(server.endpoint, frame) == reply
+            time.sleep(0.05)
+        assert len(handlers) == 6 and all(h is handlers[0] for h in handlers)
+
+    def test_stalled_clients_do_not_delay_a_good_one(self, monkeypatch):
+        monkeypatch.setattr(protocol, "READ_TIMEOUT_S", 2.0)
+        srv = SignatureServer(desk_net(seed=21))
+        srv.serve_in_background()
+        frame, reply = self.pinned(srv.net, 52)
+        stalled = []
+        try:
+            for _ in range(12):
+                sock = socket.create_connection(srv.endpoint, timeout=5)
+                sock.sendall(frame[:6])  # magic, version, mask: no count
+                stalled.append(sock)
+            time.sleep(0.1)  # every stalled connection holds a thread
+            started = time.monotonic()
+            assert raw_exchange(srv.endpoint, frame) == reply
+            assert time.monotonic() - started < 0.5
+        finally:
+            for sock in stalled:
+                sock.close()
+            srv.shutdown()
+            srv.server_close()
+
+    def test_server_close_ends_every_thread(self):
+        """Idle threads end at the close, and a thread whose connection is
+        open at the close ends with its connection."""
+        assert protocol.READ_TIMEOUT_S == 10.0
+        baseline = set(threading.enumerate())
+        srv = SignatureServer(desk_net(seed=21))
+        srv.serve_in_background()
+        frame, reply = self.pinned(srv.net, 53)
+        assert self.burst(srv.endpoint, frame, 16) == [reply] * 16
+        with socket.create_connection(srv.endpoint, timeout=5) as open_conn:
+            open_conn.sendall(frame)
+            assert open_conn.recv(65536) == reply
+            srv.shutdown()
+            srv.server_close()
+        assert not self.wait_for_baseline(baseline, 1.0)
+
+    def test_idle_threads_end_by_themselves(self, monkeypatch):
+        monkeypatch.setattr(protocol, "READ_TIMEOUT_S", 0.2)
+        srv = SignatureServer(desk_net(seed=21))
+        srv.serve_in_background()
+        baseline = set(threading.enumerate())
+        frame, reply = self.pinned(srv.net, 54)
+        try:
+            assert self.burst(srv.endpoint, frame, 4) == [reply] * 4
+            assert not self.wait_for_baseline(baseline, 2.0)
+            assert raw_exchange(srv.endpoint, frame) == reply
+        finally:
+            srv.shutdown()
+            srv.server_close()
+
+    def test_a_connection_queued_as_an_idle_thread_times_out_is_taken(self, monkeypatch):
+        """The idle thread's wait ends just as a connection is queued for
+        it; the thread takes the connection rather than end."""
+        monkeypatch.setattr(protocol, "READ_TIMEOUT_S", 0.2)
+        timed_out = threading.Event()
+
+        class SlowTimeout:  # holds each timed-out waiter back for 0.3 s
+            def __init__(self, jobs):
+                self.jobs = jobs
+
+            def put(self, job):
+                self.jobs.put(job)
+
+            def empty(self):
+                return self.jobs.empty()
+
+            def get(self, timeout):
+                try:
+                    return self.jobs.get(timeout=timeout)
+                except queue.Empty:
+                    timed_out.set()
+                    time.sleep(0.3)
+                    raise
+
+        srv = SignatureServer(desk_net(seed=21))
+        srv._jobs = SlowTimeout(srv._jobs)
+        srv.serve_in_background()
+        frame, reply = self.pinned(srv.net, 56)
+        try:
+            assert raw_exchange(srv.endpoint, frame) == reply
+            assert timed_out.wait(timeout=5)
+            assert raw_exchange(srv.endpoint, frame) == reply
+        finally:
+            srv.shutdown()
+            srv.server_close()
+
+    def test_idle_count_survives_racing_timeouts(self, monkeypatch):
+        """Idle threads time out while new connections arrive, with the
+        interpreter switching threads often; no connection is stranded,
+        and once every thread has ended, new connections still start one."""
+        monkeypatch.setattr(protocol, "READ_TIMEOUT_S", 0.1)
+        srv = SignatureServer(desk_net(seed=21))
+        srv.serve_in_background()
+        baseline = set(threading.enumerate())
+        frame, reply = self.pinned(srv.net, 55)
+        results = [[] for _ in range(8)]
+
+        def client(i):
+            pauses = make_rng(60 + i).uniform(0, 0.15, 20)
+            for pause in pauses:
+                results[i].append(raw_exchange(srv.endpoint, frame))
+                time.sleep(pause)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in clients)
+            assert results == [[reply] * 20] * 8
+            assert not self.wait_for_baseline(baseline, 2.0)
+            assert self.burst(srv.endpoint, frame, 4) == [reply] * 4
+        finally:
+            sys.setswitchinterval(interval)
             srv.shutdown()
             srv.server_close()
 
