@@ -1,9 +1,10 @@
 """Little-endian binary helpers shared by the FBNK and HNET codecs, and
 the atomic writer every artifact file goes through.
 
-Strings are u16-length-prefixed UTF-8. A reader raises the caller's error
-class, so a bad bank is a `DataFormatError` and a bad model a
-`ModelFormatError`, with the same messages either way.
+Strings are u16-length-prefixed UTF-8, and `encode_str` is the rule for
+what one may hold. A reader raises the caller's error class, so a bad
+bank is a `DataFormatError` and a bad model a `ModelFormatError`, with
+the same messages either way.
 """
 
 from __future__ import annotations
@@ -44,8 +45,22 @@ def write_header(out, magic: bytes, version: int):
     out.write(struct.pack("<H", version))
 
 
+def encode_str(s: str, what: str = "a string", error: type[Exception] = ValueError) -> bytes:
+    """The UTF-8 bytes of `s` as a u16-length string. A string with no
+    UTF-8 form (a lone surrogate, which a non-UTF-8 command-line byte
+    decodes to) or of more than 65535 bytes raises `error` naming `what`."""
+    try:
+        raw = s.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise error(f"{what} is not UTF-8: character {exc.start} "
+                    f"is {s[exc.start]!r}") from None
+    if len(raw) > 0xFFFF:
+        raise error(f"{what} of {len(raw)} UTF-8 bytes exceeds the u16 length")
+    return raw
+
+
 def write_str(out, s: str):
-    raw = s.encode("utf-8")
+    raw = encode_str(s)
     out.write(struct.pack("<H", len(raw)))
     out.write(raw)
 

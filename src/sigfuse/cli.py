@@ -20,13 +20,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import signal
 import sys
 from contextlib import suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import data as data_mod
-from .binfmt import atomic_file, atomic_write
+from .binfmt import atomic_file, atomic_write, encode_str
 from .data import (SPLIT_NAMES, DataFormatError, Dataset, SyntheticSpec,
                    ViewSpec, format_attr_file, format_split_file, load_bank,
                    parse_attr_file, parse_split_file, write_bank)
@@ -245,6 +246,7 @@ def cmd_eval(args) -> int:
 def cmd_extract_lbp(args) -> int:
     if not args.kind:
         raise UsageError("--kind must be non-empty")
+    encode_str(args.kind, "--kind", UsageError)  # the rule for the bank's kind name
     if args.cell_size < 1:
         raise UsageError(f"--cell-size must be positive, got {args.cell_size}")
     image_dir = Path(args.images)
@@ -337,9 +339,14 @@ def cmd_serve(args) -> int:
         port = _parse_port(os.environ.get("SIGFUSE_PORT") or "0", "SIGFUSE_PORT", 0)
     with serve(model, args.host, port) as server:  # its exit closes the listening socket
         host, bound_port = server.endpoint
-        print(f"serving {model} on {host}:{bound_port}", flush=True)
-        with suppress(KeyboardInterrupt):
-            server.serve_forever()
+        # SIGTERM, which `kill` and service managers send, stops it as SIGINT does
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            with suppress(KeyboardInterrupt):
+                print(f"serving {model} on {host}:{bound_port}", flush=True)
+                server.serve_forever()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binfmt import Reader, write_header, write_str
+from .binfmt import Reader, encode_str, write_header, write_str
 from .nn import make_rng
 
 BANK_MAGIC = b"FBNK"
@@ -175,6 +175,7 @@ class FeatureBank:
     def __init__(self, kind_name: str, dim: int, entries=None):
         if not kind_name:  # no `--bank kind=path` flag could name the bank
             raise ValueError("feature kind names must be non-empty")
+        encode_str(kind_name, "feature kind name")  # the FBNK header holds it
         self.kind_name, self.dim = kind_name, dim
         # `_free` is the first row no id has used
         self.matrix, self.rows, self._free = np.empty((0, dim), "<f4"), {}, 0
@@ -434,8 +435,13 @@ def bank_from_bytes(data: bytes) -> FeatureBank:
 
 
 def save_bank(bank: FeatureBank, path):
+    """Write `bank` to `path` as FBNK. The bank is encoded before the file
+    is opened, so a bank the encoder refuses (an id of more than 65535
+    UTF-8 bytes) leaves `path` as it was."""
+    header, records = _bank_records(bank)
     with open(path, "wb") as fh:
-        write_bank(fh, bank)
+        fh.write(header)
+        fh.write(records)
 
 
 def load_bank(path) -> FeatureBank:
@@ -640,6 +646,7 @@ class SyntheticSpec:
         for v in self.views:
             if not v.name:
                 raise ValueError("view names must be non-empty")
+            encode_str(v.name, "view name")  # it names a bank
             if names.count(v.name) > 1:
                 raise ValueError(f"view {v.name!r} is named twice")
             if v.dim <= 0:
@@ -693,74 +700,81 @@ _GATHER_FLOATS = 1 << 16
 
 
 @dataclass
-class _StackedSplit:
-    """One split's sorted ids and labels, and each kind's row index and
-    feature matrix built so far, each with the object it was built from."""
-
-    table: AttributeTable
-    ids: tuple[str, ...]
-    y: np.ndarray
-    rows: dict[str, tuple[FeatureBank, np.ndarray, np.ndarray]] = field(default_factory=dict)
-    xs: dict[str, tuple[FeatureBank, np.ndarray]] = field(default_factory=dict)
-
-
-@dataclass
 class Dataset:
     """An attribute table and one feature bank per kind.
 
     `rows` maps a split's sorted ids to row indices into a kind's bank
     matrix, which is how training gathers its float32 batches; `arrays`
     stacks a split whole, as read-only float64 matrices, for validation
-    and evaluation. Each is built once: the first request for a split
-    builds its sorted ids and label matrix, the first request for a kind
-    in it builds that kind's row index (or matrix), and every later call
-    returns the same array. A split is built again when `dataset.table` is
-    replaced by another object, a kind's matrix when `dataset.banks[kind]`
-    is, and its row index also when the bank's matrix is (a bank grows
-    into a new one); other in-place edits to the rows, splits or entries
-    of an already built split are not seen.
+    and evaluation. Each view is built on its first request and shared
+    by every later one, under one rule: a view is built again when an
+    object it was built from has been replaced. A split's ids and labels
+    are built from `table`; a kind's float64 stack from `table` and
+    `banks[kind]`; its row index from those and the bank's `matrix` (a
+    bank grows into a new one). Other in-place edits to the rows, splits
+    or entries of a view already built are not seen. A view stays held
+    after its sources are replaced, until its key is next asked for.
     """
 
     table: AttributeTable
     banks: dict[str, FeatureBank]
-    _stacked: dict[str, _StackedSplit] = field(default_factory=dict, init=False,
-                                               repr=False, compare=False)
+    # key -> (the objects a view was built from, the view)
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kind_dims(self) -> list[tuple[str, int]]:
         return [(name, bank.dim) for name, bank in self.banks.items()]
 
-    def _split(self, split: str) -> _StackedSplit:
-        stacked = self._stacked.get(split)
-        if stacked is None or stacked.table is not self.table:
+    def _once(self, key, sources: tuple, build, *args):
+        """The view held under `key`, made by `build(*args)` again when
+        one of `sources` is not the object it was built from."""
+        held = self._views.get(key)
+        if held is None or any(old is not new for old, new in zip(held[0], sources)):
+            held = self._views[key] = (sources, build(*args))
+        return held[1]
+
+    def _split(self, split: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """The split's sorted ids and read-only float64 label matrix."""
+        def build():
             ids = sorted(self.table.ids_for(split))
             if not ids:
                 raise DataFormatError(f"split {split!r} has no examples")
             y = np.concatenate([self.table.rows[i] for i in ids],
                                dtype=np.float64).reshape(len(ids), self.table.n_attributes)
             y.flags.writeable = False
-            stacked = self._stacked[split] = _StackedSplit(self.table, tuple(ids), y)
-        return stacked
+            return tuple(ids), y
+        return self._once(split, (self.table,), build)
 
     def rows(self, split: str, kind: str) -> np.ndarray:
         """The read-only row of `banks[kind].matrix` for each of the
         split's ids, in sorted id order; an id the bank lacks is a
         `DataFormatError`."""
-        stacked = self._split(split)
+        ids, _ = self._split(split)
         bank = self.banks.get(kind)
         if bank is None:
             raise ValueError(f"no feature bank for kind {kind!r}")
-        source, matrix, rows = stacked.rows.get(kind, (None, None, None))
-        if source is not bank or matrix is not bank.matrix:
+
+        def build():
             try:
-                rows = np.fromiter(map(bank.rows.__getitem__, stacked.ids),
-                                   dtype=np.intp, count=len(stacked.ids))
+                rows = np.fromiter(map(bank.rows.__getitem__, ids), dtype=np.intp,
+                                   count=len(ids))
             except KeyError:
-                missing = [i for i in stacked.ids if i not in bank.rows]
+                missing = [i for i in ids if i not in bank.rows]
                 raise DataFormatError(f"bank {kind!r} missing features for {len(missing)} "
                                       f"images (first: {missing[0]!r})") from None
             rows.flags.writeable = False
-            stacked.rows[kind] = (bank, bank.matrix, rows)
-        return rows
+            return rows
+        return self._once((split, kind, "rows"), (self.table, bank, bank.matrix), build)
+
+    def _stack(self, split: str, kind: str) -> np.ndarray:
+        rows = self.rows(split, kind)  # raises for a missing bank or id
+        bank = self.banks[kind]
+        x = np.empty((len(rows), bank.dim))
+        # gather in bounded chunks, so no `<f4` copy of the split is held
+        stride = max(1, _GATHER_FLOATS // max(bank.dim, 1))
+        for start in range(0, len(rows), stride):
+            x[start:start + stride] = bank.matrix[rows[start:start + stride]]
+        x.flags.writeable = False
+        return x
 
     def arrays(self, split: str, kinds=None) -> tuple[list[str], dict[str, np.ndarray], np.ndarray]:
         """Dense (ids, {kind: X}, Y) matrices for one split, in sorted id order.
@@ -768,19 +782,7 @@ class Dataset:
         The matrices are shared and read-only; the dict and id list are
         fresh on every call."""
         kinds = list(kinds) if kinds is not None else list(self.banks)
-        stacked = self._split(split)
-        xs = {}
-        for kind in kinds:
-            bank = self.banks.get(kind)
-            source, x = stacked.xs.get(kind, (None, None))
-            if bank is None or source is not bank:
-                rows = self.rows(split, kind)  # raises for a missing bank or id
-                x = np.empty((len(rows), bank.dim))
-                # gather in bounded chunks, so no `<f4` copy of the split is held
-                stride = max(1, _GATHER_FLOATS // max(bank.dim, 1))
-                for start in range(0, len(rows), stride):
-                    x[start:start + stride] = bank.matrix[rows[start:start + stride]]
-                x.flags.writeable = False
-                stacked.xs[kind] = (bank, x)
-            xs[kind] = x
-        return list(stacked.ids), xs, stacked.y
+        ids, y = self._split(split)
+        xs = {kind: self._once((split, kind, "x"), (self.table, self.banks.get(kind)),
+                               self._stack, split, kind) for kind in kinds}
+        return list(ids), xs, y

@@ -1300,3 +1300,91 @@ class TestNotUtf8Text:
         with pytest.raises(DataFormatError, match=r", line 5: not UTF-8 \(invalid start "
                                                   r"byte at byte 17\)$"):
             _read_utf8(path, "attribute file")
+
+
+class TestKindNameRule:
+    """A kind name a u16-length FBNK string cannot hold (more than 65535
+    UTF-8 bytes, or a non-UTF-8 byte from the command line, which Python
+    decodes to a lone surrogate) is a usage error found before any image
+    is read or any file is written."""
+
+    @pytest.mark.parametrize("kind, error", [
+        ("k" * 70000, "--kind of 70000 UTF-8 bytes exceeds the u16 length"),
+        ("\udcff", "--kind is not UTF-8: character 0 is '\\udcff'"),
+    ], ids=["70000-chars", "byte-ff"])
+    def test_extract_lbp_kind(self, tmp_path, monkeypatch, capsys, kind, error):
+        import sigfuse.data as data_mod
+
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        write_pgm(img_dir / "a.pgm", np.zeros((20, 20), dtype=np.uint8))
+        monkeypatch.setattr(data_mod, "read_pgm", no_read)
+        assert run(["extract-lbp", "--images", str(img_dir), "--cell-size", "10",
+                    "--kind", kind, "--out", str(tmp_path / "x.fbnk")]) == 2
+        assert capsys.readouterr().err == f"usage error: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["imgs"]
+
+    def test_synth_view_name(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run(["synth", "--out-dir", str(out), "--view", "\udcff:4:0.1"]) == 2
+        assert capsys.readouterr().err == ("usage error: view name is not UTF-8: "
+                                           "character 0 is '\\udcff'\n")
+        assert not out.exists()
+
+
+class TestServeStopsOnSigterm:
+    """SIGTERM, which `kill` and service managers send, stops `serve` as
+    SIGINT does: exit 0 with the listening socket closed."""
+
+    def test_exit_zero_and_socket_closed(self, tmp_path):
+        import signal
+        import socket
+        model = tmp_path / "m.hnet"
+        save_model(build_net([("fv", 4)], PROFILES["desk"], seed=0), model)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sigfuse.cli", "serve", "--model", str(model),
+             "--port", "0"], stdout=subprocess.PIPE, text=True)
+        try:
+            host, port = proc.stdout.readline().split()[-1].rsplit(":", 1)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=5) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, int(port)), timeout=2)
+
+    def test_previous_handler_is_restored(self, tmp_path, monkeypatch):
+        import signal
+        import sigfuse.cli as cli
+        handlers = []
+
+        class Spy:
+            endpoint = ("127.0.0.1", 7040)
+
+            def __init__(self, path, host, port):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def serve_forever(self):
+                handlers.append(signal.getsignal(signal.SIGTERM))
+
+        def mine(signum, frame):
+            pass
+
+        monkeypatch.setattr(cli, "serve", Spy)
+        previous = signal.signal(signal.SIGTERM, mine)
+        try:
+            assert run(["serve", "--model", str(tmp_path / "m.hnet"), "--port", "0"]) == 0
+            assert signal.getsignal(signal.SIGTERM) is mine
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert handlers == [signal.default_int_handler]

@@ -764,3 +764,37 @@ class TestFbnkWriterBlocks:
         assert (block[:, 0] == 12).all() and (block[:, 1] == 0).all()
         assert block[:, 2:14].tobytes() == "".join(bank.rows).encode()
         assert header + records.tobytes() == ref_bank_to_bytes(bank)
+
+
+class TestU16StringRule:
+    """`binfmt.encode_str` is the one rule for what a u16-length string
+    holds; the HNET and FBNK writers and `FeatureBank` all keep it."""
+
+    def test_write_str_names_the_byte_count(self):
+        from sigfuse.binfmt import write_str
+        buf = io.BytesIO()
+        write_str(buf, "é" * 32767 + "x")
+        assert len(buf.getvalue()) == 2 + 65535
+        with pytest.raises(ValueError, match="^a string of 65536 UTF-8 bytes exceeds the u16 length$"):
+            write_str(io.BytesIO(), "é" * 32768)
+        with pytest.raises(ValueError, match="^a string is not UTF-8: character 1 is '\\\\udcff'$"):
+            write_str(io.BytesIO(), "a\udcff")
+
+    def test_save_model_with_a_long_kind_name_leaves_no_file(self, tmp_path):
+        from sigfuse.model import save_model
+        net = build_net([("k" * 70000, 2)], PROFILES["desk"], seed=0)
+        path = tmp_path / "m.hnet"
+        with pytest.raises(ValueError, match="70000 UTF-8 bytes"):
+            save_model(net, path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name, error", [
+        ("k" * 70000, "^feature kind name of 70000 UTF-8 bytes exceeds the u16 length$"),
+        ("\udcff", "^feature kind name is not UTF-8: character 0 is"),
+    ], ids=["70000-chars", "byte-ff"])
+    def test_feature_bank_refuses_the_name(self, name, error):
+        with pytest.raises(ValueError, match=error):
+            FeatureBank(name, 2)
+        with pytest.raises(ValueError, match=error):
+            FeatureBank.from_matrix(name, np.zeros((1, 2), "<f4"), {"a": 0})
+        FeatureBank("k" * 65535, 2)  # the most a u16 length holds

@@ -704,3 +704,84 @@ class TestDatasetRows:
         assert rows is not old
         assert np.array_equal(dataset.banks["a"].matrix.take(rows, axis=0),
                               bank.matrix.take(old, axis=0))
+
+
+def _replace_table(dataset):
+    table = dataset.table
+    dataset.table = AttributeTable(table.names, dict(table.rows), dict(table.splits))
+
+
+def _replace_bank(dataset):
+    bank = dataset.banks["a"]
+    dataset.banks["a"] = FeatureBank.from_matrix("a", bank.matrix.copy(), dict(bank.rows))
+
+
+def _grow_bank(dataset):
+    bank = dataset.banks["a"]
+    matrix, first = bank.matrix, next(iter(bank.rows))
+    bank.entries[first] = bank.entries[first]  # a full matrix grows into a new one
+    assert bank.matrix is not matrix
+
+
+VIEWS = {
+    "labels": lambda dataset: dataset.arrays("train", kinds=())[2],
+    "row_index": lambda dataset: dataset.rows("train", "a"),
+    "float64_stack": lambda dataset: dataset.arrays("train", kinds=["a"])[1]["a"],
+}
+
+
+class TestOneRebuildRule:
+    """A view is built again exactly when an object it was built from is
+    replaced: labels from the table; a kind's float64 stack from the table
+    and its bank; its row index also from the bank's matrix."""
+
+    @pytest.mark.parametrize("replace, view, rebuilt", [
+        (_replace_table, "labels", True),
+        (_replace_table, "row_index", True),
+        (_replace_table, "float64_stack", True),
+        (_replace_bank, "labels", False),
+        (_replace_bank, "row_index", True),
+        (_replace_bank, "float64_stack", True),
+        (_grow_bank, "labels", False),
+        (_grow_bank, "row_index", True),
+        (_grow_bank, "float64_stack", False),
+    ], ids=lambda v: getattr(v, "__name__", str(v)).strip("_"))
+    def test_kept_or_rebuilt(self, replace, view, rebuilt):
+        dataset = small_dataset()
+        before = VIEWS[view](dataset)
+        replace(dataset)
+        after = VIEWS[view](dataset)
+        assert (after is not before) == rebuilt
+        assert VIEWS[view](dataset) is after and not after.flags.writeable
+        fresh = VIEWS[view](Dataset(dataset.table, dataset.banks))
+        assert after.dtype == fresh.dtype and after.tobytes() == fresh.tobytes()
+
+    def test_other_kinds_and_splits_are_kept(self):
+        dataset = small_dataset()
+        views = [dataset.rows("val", "a"), dataset.rows("train", "b"),
+                 dataset.arrays("train", kinds=["b"])[1]["b"]]
+        _replace_bank(dataset)
+        dataset.rows("train", "a")
+        dataset.arrays("train", kinds=["a"])
+        assert dataset.rows("train", "b") is views[1]
+        assert dataset.arrays("train", kinds=["b"])[1]["b"] is views[2]
+        assert dataset.rows("val", "a") is not views[0]  # asked for again, so rebuilt
+
+
+class TestSaveBankRefusal:
+    """`save_bank` encodes before it opens the file, so a bank the encoder
+    refuses neither empties an old file nor creates a new one."""
+
+    def test_old_file_is_untouched(self, tmp_path):
+        path = tmp_path / "k.fbnk"
+        save_bank(FeatureBank("fv", 2, {"a": [1.0, 2.0]}), path)
+        good = path.read_bytes()
+        assert len(good) == 33
+        with pytest.raises(ValueError, match="65536 UTF-8 bytes"):
+            save_bank(FeatureBank("fv", 2, {"y" * 65536: [1.0, 2.0]}), path)
+        assert path.read_bytes() == good
+
+    def test_no_new_file(self, tmp_path):
+        with pytest.raises(ValueError, match="65536 UTF-8 bytes"):
+            save_bank(FeatureBank("fv", 2, {"y" * 65536: [1.0, 2.0]}), tmp_path / "k.fbnk")
+        assert list(tmp_path.iterdir()) == []
